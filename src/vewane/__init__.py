@@ -46,7 +46,6 @@ from .surveillance import (
     sda_tt2_offset,
     sensitivity_offset,
     tt1_offset,
-    variant_mix_lookup,
 )
 from .tmle import clever_covariate, eic_values, estimate_r, fit_tmle_binary, fit_tmle_multinomial
 

@@ -16,35 +16,11 @@ from .core import (
     Dataset,
     FitResult,
     NonIdentifiableError,
-    NotConvergedError,
     VEBasisSpec,
     VewaneError,
     eval_ve_basis,
 )
-from .sieve import CONDITION_BOUND, LOGLIK_TOL, MAX_ITER, SCORE_TOL, SEPARATION_BOUND
-
-
-@dataclass
-class RiskSetIndex:
-    """Distinct preventable event times with the subjects at risk at each."""
-
-    times: np.ndarray  # ascending distinct preventable event times
-    tie_counts: np.ndarray
-    subject_ids: list[str]
-    subject_times: np.ndarray  # ascending; at_risk(t) = suffix with T >= t
-
-    def at_risk(self, t: float) -> list[str]:
-        pos = int(np.searchsorted(self.subject_times, t, side="left"))
-        return self.subject_ids[pos:]
-
-
-def build_risk_sets(dataset: Dataset) -> RiskSetIndex:
-    arr = dataset.arrays()
-    tp = np.sort(arr["time"][arr["cause"] == 1])
-    times, counts = np.unique(tp, return_counts=True)
-    order = np.argsort(arr["time"], kind="stable")
-    ids = [dataset.records[i].id for i in order]
-    return RiskSetIndex(times, counts, ids, arr["time"][order])
+from .sieve import CONDITION_BOUND, SEPARATION_BOUND, newton
 
 
 @dataclass
@@ -218,42 +194,14 @@ def fit_cox_tv(dataset: Dataset, ve_basis: VEBasisSpec) -> FitResult:
     if not np.any(~np.isnan(data.V)):
         raise NonIdentifiableError("all subjects unvaccinated: no covariate contrast")
     x_events = _event_covariates(data, ve_basis)
-    d = ve_basis.dimension
     use_fast = ve_basis.kind in ("constant", "linear")
 
     def derivs(b):
         with np.errstate(over="ignore"):
             return (_derivs_fast if use_fast else _derivs_scan)(data, ve_basis, b)
 
-    beta = np.zeros(d)
-    ll, grad, hess = derivs(beta)
-    converged = float(np.max(np.abs(grad))) < SCORE_TOL
-    iterations = 0
-    step_norm = np.inf
-    while not converged and iterations < MAX_ITER:
-        iterations += 1
-        neg_h = -hess
-        if not np.all(np.isfinite(neg_h)) or np.linalg.cond(neg_h) > CONDITION_BOUND:
-            raise NonIdentifiableError("singular or ill-conditioned information")
-        step = np.linalg.solve(neg_h, grad)
-        scale, accepted = 1.0, False
-        for _ in range(40):
-            cand = beta + scale * step
-            ll_new, grad_new, hess_new = derivs(cand)
-            if np.isfinite(ll_new) and ll_new >= ll:
-                accepted = True
-                break
-            scale *= 0.5
-        if not accepted:
-            if np.isfinite(ll_new) and abs(ll_new - ll) < LOGLIK_TOL:
-                converged = True
-                break
-            raise NotConvergedError("step-halving failed to improve the partial likelihood")
-        step_norm = float(np.max(np.abs(scale * step)))
-        delta = ll_new - ll
-        beta, ll, grad, hess = cand, ll_new, grad_new, hess_new
-        if float(np.max(np.abs(grad))) < SCORE_TOL or delta < LOGLIK_TOL:
-            converged = True
+    fit = newton(derivs, np.zeros(ve_basis.dimension))
+    beta, hess = fit.theta, fit.hess
     if np.max(np.abs(x_events @ beta)) > SEPARATION_BOUND:
         raise NonIdentifiableError("separation in the partial likelihood")
     if not np.all(np.isfinite(hess)) or np.linalg.cond(-hess) > CONDITION_BOUND:
@@ -267,11 +215,11 @@ def fit_cox_tv(dataset: Dataset, ve_basis: VEBasisSpec) -> FitResult:
         basis=ve_basis,
         nuisance=None,
         diagnostics={
-            "iterations": iterations,
-            "final_update_norm": step_norm if np.isfinite(step_norm) else 0.0,
-            "loglik": ll,
-            "score_max": float(np.max(np.abs(grad))),
-            "converged": bool(converged),
+            "iterations": fit.iterations,
+            "final_update_norm": fit.final_update_norm,
+            "loglik": fit.loglik,
+            "score_max": float(np.max(np.abs(fit.grad))),
+            "converged": bool(fit.converged),
             "n_events": int(data.ev_t.shape[0]),
             "ties": "breslow",
         },

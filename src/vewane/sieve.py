@@ -3,7 +3,9 @@
 Only infected participants contribute; each row is a Bernoulli (or categorical)
 contrast between the preventable and irrelevant cause with linear predictor
 Z * beta' psi(T-V) + alpha(T), where alpha is a spline expansion, a free scalar,
-or a fixed surveillance-derived offset.
+or a fixed surveillance-derived offset.  The binary model is the one-strain
+case of the m-class model; its likelihood (`logistic_derivs`) and the Newton
+solver (`newton`) also serve the TMLE fluctuation and the Cox fit.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
 
 from .core import (
     Dataset,
@@ -38,6 +39,7 @@ SEPARATION_BOUND = 30.0
 CONDITION_BOUND = 1e12
 SCORE_TOL = 1e-8
 LOGLIK_TOL = 1e-10
+LOGLIK_ROUNDING = 16 * np.finfo(float).eps  # relative rounding error of a log-likelihood sum
 MAX_ITER = 100
 
 
@@ -189,33 +191,67 @@ def build_design(
     )
 
 
-def _split_theta(design: SieveDesign, theta: np.ndarray):
-    betas = []
-    pos = 0
-    for d in design.d_blocks:
-        betas.append(theta[pos : pos + d])
+def _block_slices(dims: list[int]) -> list[slice]:
+    out, pos = [], 0
+    for d in dims:
+        out.append(slice(pos, pos + d))
         pos += d
-    return betas, theta[pos:]
+    return out
 
 
-def _linear_predictors(design: SieveDesign, theta: np.ndarray) -> np.ndarray:
-    """(n, m) matrix of per-class predictors including fixed offsets."""
-    betas, alpha = _split_theta(design, theta)
-    a = design.X_alpha @ alpha if design.X_alpha.shape[1] else 0.0
-    eta = np.empty((design.n_rows, design.n_classes))
-    for k in range(design.n_classes):
-        xb = design.X_ve[k] @ betas[k] if design.d_blocks[k] else 0.0
-        eta[:, k] = xb + a + design.offsets[:, k]
+def _class_predictors(X_blocks, X_shared, offsets, theta) -> np.ndarray:
+    """(n, m) per-class predictors X_k beta_k + X_shared alpha + offsets[:, k]."""
+    dims = [X.shape[1] for X in X_blocks]
+    eta = offsets.copy()
+    if X_shared.shape[1]:
+        eta += (X_shared @ theta[sum(dims) :])[:, None]
+    for k, (X, s) in enumerate(zip(X_blocks, _block_slices(dims))):
+        if X.shape[1]:
+            eta[:, k] += X @ theta[s]
     return eta
 
 
-def _stacked_design(design: SieveDesign, k: int) -> np.ndarray:
-    """Full (n, P) design for class k: zero-padded VE blocks plus shared alpha columns."""
-    parts = []
-    for j, X in enumerate(design.X_ve):
-        parts.append(X if j == k else np.zeros_like(X))
-    parts.append(design.X_alpha)
-    return np.hstack(parts)
+def class_probs(eta: np.ndarray):
+    """Class probabilities Q (n, m) against the baseline class 0 (predictor 0),
+    and the log normalizer log(1 + sum_k exp(eta_k)) per row."""
+    lse = np.zeros(eta.shape[0])
+    for k in range(eta.shape[1]):
+        lse = np.logaddexp(lse, eta[:, k])
+    return np.exp(eta - lse[:, None]), lse
+
+
+def logistic_derivs(y, X_blocks, X_shared, offsets, theta):
+    """Log-likelihood, score and hessian of the m-class logistic model.
+
+    Class 0 is the baseline with predictor 0; class k = 1..m has predictor
+    X_blocks[k-1] beta_k + X_shared alpha + offsets[:, k-1], and theta stacks
+    (beta_1, ..., beta_m, alpha).  With m = 1 this is the binary logistic model.
+    """
+    theta = np.asarray(theta, dtype=float)
+    eta = _class_predictors(X_blocks, X_shared, offsets, theta)
+    Q, lse = class_probs(eta)
+    q0 = np.exp(-lse)  # baseline probability, 1 - sum_k Q_k without cancellation
+    picked = np.where(y > 0, np.take_along_axis(eta, np.maximum(y - 1, 0)[:, None], axis=1)[:, 0], 0.0)
+    ll = float(np.sum(picked - lse))
+
+    dims = [X.shape[1] for X in X_blocks]
+    slices = _block_slices(dims)
+    shared = slice(sum(dims), theta.shape[0])
+    grad = np.empty(theta.shape[0])
+    hess = np.empty((theta.shape[0], theta.shape[0]))
+    for k, (Xk, sk) in enumerate(zip(X_blocks, slices)):
+        grad[sk] = Xk.T @ ((y == k + 1) - Q[:, k])
+        # Cov(Y_k, Y_l) = Q_k (1{k=l} - Q_l); Cov(Y_k, J) = Q_k Q_0
+        for l in range(k, len(X_blocks)):
+            w = Q[:, k] * (1.0 - Q[:, k]) if l == k else -Q[:, k] * Q[:, l]
+            hess[sk, slices[l]] = -(Xk.T * w) @ X_blocks[l]
+            hess[slices[l], sk] = hess[sk, slices[l]].T
+        hess[sk, shared] = -(Xk.T * (Q[:, k] * q0)) @ X_shared
+        hess[shared, sk] = hess[sk, shared].T
+    qtot = 1.0 - q0
+    grad[shared] = X_shared.T @ ((y > 0) - qtot)
+    hess[shared, shared] = -(X_shared.T * (qtot * q0)) @ X_shared
+    return ll, grad, hess
 
 
 def loglik_derivs(design: SieveDesign, beta, alpha_coefs=None):
@@ -231,80 +267,85 @@ def loglik_derivs(design: SieveDesign, beta, alpha_coefs=None):
         theta = np.concatenate([beta, np.asarray(alpha_coefs, dtype=float)])
     if theta.shape[0] != design.n_params:
         raise ValueError(f"expected {design.n_params} parameters, got {theta.shape[0]}")
-
-    eta = _linear_predictors(design, theta)
-    m = design.n_classes
-    if m == 1:
-        eta1 = eta[:, 0]
-        yb = (design.y == 1).astype(float)
-        ll = float(np.sum(yb * eta1 - np.logaddexp(0.0, eta1)))
-        p = expit(eta1)
-        X = _stacked_design(design, 0)
-        resid = yb - p
-        grad = X.T @ resid
-        w = p * (1.0 - p)
-        hess = -(X.T * w) @ X
-        return ll, grad, hess
-
-    padded = np.concatenate([np.zeros((design.n_rows, 1)), eta], axis=1)
-    lse = logsumexp(padded, axis=1)
-    picked = np.where(design.y > 0, np.take_along_axis(padded, design.y[:, None], axis=1)[:, 0], 0.0)
-    ll = float(np.sum(picked - lse))
-    Q = np.exp(eta - lse[:, None])
-
-    P = design.n_params
-    grad = np.zeros(P)
-    h1 = np.zeros((P, P))
-    B = np.zeros((design.n_rows, P))
-    for k in range(m):
-        Xk = _stacked_design(design, k)
-        yk = (design.y == k + 1).astype(float)
-        grad += Xk.T @ (yk - Q[:, k])
-        h1 += (Xk.T * Q[:, k]) @ Xk
-        B += Q[:, k][:, None] * Xk
-    hess = -(h1 - B.T @ B)
-    return ll, grad, hess
+    return logistic_derivs(design.y, design.X_ve, design.X_alpha, design.offsets, theta)
 
 
-def _newton(derivs, theta0, max_iter=MAX_ITER, score_tol=SCORE_TOL, ll_tol=LOGLIK_TOL):
-    """Newton-Raphson with step-halving; raises on singular information."""
-    theta = np.asarray(theta0, dtype=float)
-    ll, grad, hess = derivs(theta)
-    iterations = 0
-    step_norm = np.inf
-    converged = theta.size == 0 or float(np.max(np.abs(grad))) < score_tol
-    while not converged and iterations < max_iter:
-        iterations += 1
+@dataclass
+class NewtonResult:
+    theta: np.ndarray  # full vector; coordinates outside `free` keep their start values
+    loglik: float
+    grad: np.ndarray  # score over the free coordinates
+    hess: np.ndarray  # hessian over the free coordinates
+    converged: bool
+    trace: list[dict]  # per iteration: loglik, score_max, step_scale, update_norm
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
+
+    @property
+    def final_update_norm(self) -> float:
+        return self.trace[-1]["update_norm"] if self.trace else 0.0
+
+
+def newton(derivs, theta0, free=None, max_iter=MAX_ITER, score_tol=SCORE_TOL) -> NewtonResult:
+    """Newton-Raphson with step-halving over the `free` coordinates of theta.
+
+    `derivs(theta)` returns the log-likelihood, score and hessian at the full
+    theta; coordinates outside the boolean mask `free` (default: all free)
+    stay at `theta0`.  Each iteration halves the Newton step up to 40 times
+    until the log-likelihood does not decrease by more than its rounding error,
+    LOGLIK_ROUNDING * |loglik|: near the optimum the gain of a Newton step is
+    below that error, so a strict comparison would reject it at random.
+
+    The fit is converged when max |score| < score_tol, or when an accepted
+    step raises the log-likelihood by less than LOGLIK_TOL, or when every
+    halving fails but the last one changes it by less than LOGLIK_TOL (the
+    trace then records a zero step).  Otherwise a failed halving raises
+    NotConvergedError, and a singular or ill-conditioned information
+    (condition number above CONDITION_BOUND) raises NonIdentifiableError.
+    Reaching max_iter returns with converged False.
+    """
+    theta = np.array(theta0, dtype=float)
+    free = np.ones(theta.shape[0], dtype=bool) if free is None else np.asarray(free, dtype=bool)
+
+    def at(th):
+        ll, g, h = derivs(th)
+        return ll, g[free], h[np.ix_(free, free)]
+
+    ll, grad, hess = at(theta)
+    trace = []
+    converged = grad.size == 0 or float(np.max(np.abs(grad))) < score_tol
+    while not converged and len(trace) < max_iter:
         neg_h = -hess
         if not np.all(np.isfinite(neg_h)) or np.linalg.cond(neg_h) > CONDITION_BOUND:
             raise NonIdentifiableError("singular or ill-conditioned observed information")
         step = np.linalg.solve(neg_h, grad)
         scale = 1.0
-        accepted = False
         for _ in range(40):
-            cand = theta + scale * step
-            ll_new, grad_new, hess_new = derivs(cand)
-            if np.isfinite(ll_new) and ll_new >= ll:
-                accepted = True
+            cand = theta.copy()
+            cand[free] += scale * step
+            ll_new, grad_new, hess_new = at(cand)
+            if np.isfinite(ll_new) and ll_new >= ll - LOGLIK_ROUNDING * abs(ll):
                 break
             scale *= 0.5
-        if not accepted:
-            if np.isfinite(ll_new) and abs(ll_new - ll) < ll_tol:
-                converged = True
-                break
-            raise NotConvergedError("step-halving failed to improve the log-likelihood")
-        step_norm = float(np.max(np.abs(scale * step)))
+        else:
+            if not (np.isfinite(ll_new) and abs(ll_new - ll) < LOGLIK_TOL):
+                raise NotConvergedError("step-halving failed to improve the log-likelihood")
+            scale, cand, ll_new, grad_new, hess_new = 0.0, theta, ll, grad, hess  # no step taken
         delta_ll = ll_new - ll
         theta, ll, grad, hess = cand, ll_new, grad_new, hess_new
-        if float(np.max(np.abs(grad))) < score_tol or delta_ll < ll_tol:
-            converged = True
-    return theta, ll, grad, hess, converged, iterations, step_norm
+        score_max = float(np.max(np.abs(grad)))
+        update_norm = float(np.max(np.abs(scale * step)))
+        trace.append({"loglik": ll, "score_max": score_max, "step_scale": scale, "update_norm": update_norm})
+        converged = score_max < score_tol or delta_ll < LOGLIK_TOL
+    return NewtonResult(theta, ll, grad, hess, converged, trace)
 
 
 def _check_identification(design: SieveDesign, theta: np.ndarray, ll: float | None = None) -> None:
     # fixed offsets (surveillance anchors, log-mixture terms) are data, not
     # parameters, so separation is judged on the parametric predictor part
-    eta = _linear_predictors(design, theta) - design.offsets
+    eta = _class_predictors(design.X_ve, design.X_alpha, design.offsets, theta) - design.offsets
     if np.max(np.abs(eta)) > SEPARATION_BOUND:
         raise NonIdentifiableError(
             f"separation: |linear predictor| exceeds {SEPARATION_BOUND} at the optimum"
@@ -316,7 +357,7 @@ def _check_identification(design: SieveDesign, theta: np.ndarray, ll: float | No
 
 def _alpha_fn(design: SieveDesign, theta: np.ndarray) -> SmoothFn:
     """The fitted alpha(t) as an evaluable function, fixed offsets included."""
-    _, alpha_coefs = _split_theta(design, theta)
+    alpha_coefs = theta[design.d_total :]
     if isinstance(design.alpha, BSplineBasis):
         from .smoothing import SplineFn
 
@@ -339,13 +380,13 @@ def _resolve_alpha(dataset, alpha, knots, knot_placement):
     return alpha
 
 
-def _fit_diagnostics(design, ll, grad, converged, iterations, step_norm):
+def _fit_diagnostics(design, fit: NewtonResult):
     diag = {
-        "iterations": iterations,
-        "final_update_norm": step_norm if np.isfinite(step_norm) else 0.0,
-        "loglik": ll,
-        "score_max": float(np.max(np.abs(grad))) if grad.size else 0.0,
-        "converged": bool(converged),
+        "iterations": fit.iterations,
+        "final_update_norm": fit.final_update_norm,
+        "loglik": fit.loglik,
+        "score_max": float(np.max(np.abs(fit.grad))) if fit.grad.size else 0.0,
+        "converged": bool(fit.converged),
         "n_rows": design.n_rows,
         "n_dropped_censored": design.n_dropped_censored,
     }
@@ -359,26 +400,51 @@ def _fit_diagnostics(design, ll, grad, converged, iterations, step_norm):
     return diag
 
 
-def fit_design_theta(design: SieveDesign, free: np.ndarray | None = None):
-    """Newton MLE over the free parameters of a design; returns the full theta."""
+def fit_design_theta(design: SieveDesign, free: np.ndarray | None = None) -> NewtonResult:
+    """Newton MLE over the free parameters of a design, starting from zero."""
     if free is None:
         free = np.ones(design.n_params, dtype=bool)
     if design.n_rows < int(free.sum()) + 1:
         raise VewaneError(f"{design.n_rows} events cannot support {int(free.sum())} parameters")
+    fit = newton(lambda theta: loglik_derivs(design, theta), np.zeros(design.n_params), free)
+    _check_identification(design, fit.theta, fit.loglik)
+    return fit
 
-    def derivs(th_free):
-        th = np.zeros(design.n_params)
-        th[free] = th_free
-        ll, g, h = loglik_derivs(design, th)
-        return ll, g[free], h[np.ix_(free, free)]
 
-    th_free, ll, grad, hess, converged, iterations, step_norm = _newton(
-        derivs, np.zeros(int(free.sum()))
-    )
-    theta = np.zeros(design.n_params)
-    theta[free] = th_free
-    _check_identification(design, theta, ll)
-    return theta, ll, grad, hess, converged, iterations, step_norm
+def _free_parameters(design: SieveDesign):
+    """Mask of the free parameters and the classes without events, whose VE
+    coefficients are pinned at zero; raises unless both causes occur."""
+    m = design.n_classes
+    class_counts = np.bincount(design.y, minlength=m + 1)
+    if class_counts[0] == 0 or class_counts[1:].sum() == 0:
+        if design.strains is None:
+            raise OnlyOneCauseError("need events of both causes")
+        raise OnlyOneCauseError("need both irrelevant and preventable events")
+    dead = [k for k in range(m) if class_counts[k + 1] == 0]
+    free = np.ones(design.n_params, dtype=bool)
+    slices = _block_slices(design.d_blocks)
+    for k in dead:
+        free[slices[k]] = False
+    return free, dead
+
+
+def _fit_sieve(dataset, ve_basis, mixture, knots, alpha, offset, knot_placement) -> FitResult:
+    """Sieve MLE of the m-class model; mixture=None is the binary model (m = 1)."""
+    alpha = _resolve_alpha(dataset, alpha, knots, knot_placement)
+    design = build_design(dataset, ve_basis, alpha, mixture=mixture, extra_offset=offset)
+    free, dead = _free_parameters(design)
+    fit = fit_design_theta(design, free)
+    cov_full = np.full((design.n_params, design.n_params), np.nan)
+    cov_full[np.ix_(free, free)] = np.linalg.inv(-fit.hess)
+    d = design.d_total
+    beta = np.where(free[:d], fit.theta[:d], np.nan)
+    diag = _fit_diagnostics(design, fit)
+    common = dict(beta=beta, beta_cov=cov_full[:d, :d], nuisance=_alpha_fn(design, fit.theta), diagnostics=diag)
+    if mixture is None:
+        basis = ve_basis if ve_basis is not None else VEBasisSpec("constant")
+        return FitResult(method="sieve", basis=basis, **common)
+    diag["nonidentifiable_strains"] = [design.strains[k] for k in dead]
+    return FitResult(method="sieve-multinomial", basis=list(design.ve_basis), strains=design.strains, **common)
 
 
 def fit_sieve_binary(
@@ -390,25 +456,9 @@ def fit_sieve_binary(
     knot_placement: str = "quantile",
 ) -> FitResult:
     """Newton MLE of (beta, alpha); covariance is the beta block of the inverse
-    full observed information (profile covariance)."""
-    alpha = _resolve_alpha(dataset, alpha, knots, knot_placement)
-    design = build_design(dataset, ve_basis, alpha, extra_offset=offset)
-    counts = np.bincount(design.y, minlength=2)
-    if counts[0] == 0 or counts[1] == 0:
-        raise OnlyOneCauseError("need events of both causes")
-    d = design.d_total
-
-    theta, ll, grad, hess, converged, iterations, step_norm = fit_design_theta(design)
-    cov_full = np.linalg.inv(-hess)
-    diag = _fit_diagnostics(design, ll, grad, converged, iterations, step_norm)
-    return FitResult(
-        method="sieve",
-        beta=theta[:d],
-        beta_cov=cov_full[:d, :d],
-        basis=ve_basis if ve_basis is not None else VEBasisSpec("constant"),
-        nuisance=_alpha_fn(design, theta),
-        diagnostics=diag,
-    )
+    full observed information (profile covariance).  The one-class case of
+    `fit_sieve_multinomial`."""
+    return _fit_sieve(dataset, ve_basis, None, knots, alpha, offset, knot_placement)
 
 
 def fit_sieve_multinomial(
@@ -425,41 +475,4 @@ def fit_sieve_multinomial(
     Strains without events are flagged non-identifiable: their coefficients are
     pinned at zero during optimization and reported as NaN.
     """
-    alpha = _resolve_alpha(dataset, alpha, knots, knot_placement)
-    design = build_design(dataset, ve_bases, alpha, mixture=mixture, extra_offset=offset)
-    m = design.n_classes
-    class_counts = np.bincount(design.y, minlength=m + 1)
-    if class_counts[0] == 0 or class_counts[1:].sum() == 0:
-        raise OnlyOneCauseError("need both irrelevant and preventable events")
-    dead = [k for k in range(m) if class_counts[k + 1] == 0]
-
-    free = np.ones(design.n_params, dtype=bool)
-    pos = 0
-    for k, dk in enumerate(design.d_blocks):
-        if k in dead:
-            free[pos : pos + dk] = False
-        pos += dk
-
-    theta, ll, grad, hess, converged, iterations, step_norm = fit_design_theta(design, free)
-    cov_free = np.linalg.inv(-hess)
-    cov_full = np.full((design.n_params, design.n_params), np.nan)
-    cov_full[np.ix_(free, free)] = cov_free
-    d = design.d_total
-    beta = theta[:d].copy()
-    pos = 0
-    for k, dk in enumerate(design.d_blocks):
-        if k in dead:
-            beta[pos : pos + dk] = np.nan
-        pos += dk
-
-    diag = _fit_diagnostics(design, ll, grad, converged, iterations, step_norm)
-    diag["nonidentifiable_strains"] = [design.strains[k] for k in dead]
-    return FitResult(
-        method="sieve-multinomial",
-        beta=beta,
-        beta_cov=cov_full[:d, :d],
-        basis=list(design.ve_basis),
-        nuisance=_alpha_fn(design, theta),
-        diagnostics=diag,
-        strains=design.strains,
-    )
+    return _fit_sieve(dataset, ve_bases, mixture, knots, alpha, offset, knot_placement)

@@ -276,13 +276,6 @@ def smooth_fn_from_dict(d: dict) -> SmoothFn:
     raise ValueError(f"unknown smooth fn {kind!r}")
 
 
-def combine_offsets(*fns: SmoothFn) -> SmoothFn:
-    fns = [f for f in fns if f is not None]
-    if not fns:
-        return ConstantFn(0.0)
-    return fns[0] if len(fns) == 1 else SumFn(list(fns))
-
-
 def _second_difference(m: int, order: int = 2) -> np.ndarray:
     d = np.eye(m)
     for _ in range(order):

@@ -136,10 +136,6 @@ class VariantMix:
         return self.lookup(t)[:, self.strains.index(strain)]
 
 
-def variant_mix_lookup(mix: VariantMix, t) -> np.ndarray:
-    return mix.lookup(t)
-
-
 def read_mixture_csv(path) -> VariantMix:
     """CSV columns: time,strain,proportion; proportions per time must sum to 1."""
     rows = []

@@ -19,11 +19,21 @@ from .core import (
     Dataset,
     FitResult,
     NonIdentifiableError,
-    OnlyOneCauseError,
     VEBasisSpec,
     VewaneError,
 )
-from .sieve import SieveDesign, _resolve_alpha, build_design, fit_design_theta
+from .sieve import (
+    SieveDesign,
+    _alpha_fn,
+    _block_slices,
+    _free_parameters,
+    _resolve_alpha,
+    build_design,
+    class_probs,
+    fit_design_theta,
+    logistic_derivs,
+    newton,
+)
 from .smoothing import (
     BSplineBasis,
     SmoothFn,
@@ -34,6 +44,8 @@ from .smoothing import (
 
 POSITIVITY_DELTA = 1e-6
 DEGENERATE_WEIGHT = 1e-12
+FLUCTUATION_SCORE_TOL = 1e-11
+FLUCTUATION_MAX_ITER = 60
 
 
 @dataclass
@@ -115,73 +127,19 @@ def clever_covariate(z_psi, T, r_fns) -> np.ndarray:
     return z_psi - r_vals
 
 
-def _class_probs(eta: np.ndarray):
-    """Q (n, m) and the baseline-inclusive normalizer for per-class predictors."""
-    padded = np.concatenate([np.zeros((eta.shape[0], 1)), eta], axis=1)
-    lse = logsumexp(padded, axis=1)
-    return np.exp(eta - lse[:, None])
-
-
-def _block_slices(dims: list[int]):
-    out, pos = [], 0
-    for d in dims:
-        out.append(slice(pos, pos + d))
-        pos += d
-    return out
-
-
-def _fluctuation_fit(eta_base: np.ndarray, H_blocks: list[np.ndarray], y: np.ndarray, free: np.ndarray):
+def _fluctuation_fit(eta: np.ndarray, H_blocks: list[np.ndarray], y: np.ndarray, free: np.ndarray):
     """Offset (multinomial) logistic regression of the class labels on the clever
-    covariates; returns the stacked fluctuation coefficients."""
-    m = eta_base.shape[1]
-    dims = [h.shape[1] for h in H_blocks]
-    slices = _block_slices(dims)
-    D = sum(dims)
-    eps = np.zeros(D)
-
-    def derivs(e):
-        eta = eta_base.copy()
-        for k in range(m):
-            eta[:, k] += H_blocks[k] @ e[slices[k]]
-        Q = _class_probs(eta)
-        grad = np.zeros(D)
-        h1 = np.zeros((D, D))
-        B = np.zeros((eta.shape[0], D))
-        ll = 0.0
-        for k in range(m):
-            yk = (y == k + 1).astype(float)
-            Hk = H_blocks[k]
-            grad[slices[k]] = Hk.T @ (yk - Q[:, k])
-            h1[slices[k], slices[k]] += (Hk.T * Q[:, k]) @ Hk
-            B[:, slices[k]] = Q[:, k][:, None] * Hk
-        # off-diagonal blocks of sum_s X' diag(Q_s) X vanish (block-diagonal H)
-        hess = -(h1 - B.T @ B)
-        padded = np.concatenate([np.zeros((eta.shape[0], 1)), eta], axis=1)
-        lse = logsumexp(padded, axis=1)
-        picked = np.where(y > 0, np.take_along_axis(padded, y[:, None], axis=1)[:, 0], 0.0)
-        ll = float(np.sum(picked - lse))
-        return ll, grad, hess
-
-    ll, grad, hess = derivs(eps)
-    for _ in range(60):
-        g = grad[free]
-        if g.size == 0 or float(np.max(np.abs(g))) < 1e-11:
-            break
-        h = hess[np.ix_(free, free)]
-        try:
-            step = np.linalg.solve(-h, g)
-        except np.linalg.LinAlgError:
-            raise NonIdentifiableError("singular fluctuation information") from None
-        scale = 1.0
-        for _ in range(40):
-            cand = eps.copy()
-            cand[free] += scale * step
-            ll_new, grad_new, hess_new = derivs(cand)
-            if np.isfinite(ll_new) and ll_new >= ll - 1e-12:
-                break
-            scale *= 0.5
-        eps, ll, grad, hess = cand, ll_new, grad_new, hess_new
-    return eps
+    covariates, with the current predictors as offsets; returns the stacked
+    fluctuation coefficients and the log-likelihood at them."""
+    no_shared = np.zeros((eta.shape[0], 0))
+    fit = newton(
+        lambda e: logistic_derivs(y, H_blocks, no_shared, eta, e),
+        np.zeros(sum(h.shape[1] for h in H_blocks)),
+        free,
+        max_iter=FLUCTUATION_MAX_ITER,
+        score_tol=FLUCTUATION_SCORE_TOL,
+    )
+    return fit.theta, fit.loglik
 
 
 def _efficient_scores(design: SieveDesign, Q: np.ndarray, r_vals: list[np.ndarray]):
@@ -258,7 +216,7 @@ def _tmle_engine(
     eta = predictors()
     for it in range(1, max_iter + 1):
         iterations = it
-        Q = _class_probs(eta)
+        Q = class_probs(eta)[0]
         qtot = Q.sum(axis=1)
         clipped = np.clip(qtot, delta, 1.0 - delta)
         truncated_max = max(truncated_max, int(np.sum(clipped != qtot)))
@@ -278,13 +236,13 @@ def _tmle_engine(
             r_vals.append(rv)
             H_blocks.append(design.X_ve[k] - rv)
 
-        eps = _fluctuation_fit(eta, H_blocks, y, free)
+        eps, loglik = _fluctuation_fit(eta, H_blocks, y, free)
         eps_norm = float(np.max(np.abs(eps))) if eps.size else 0.0
         eta_star = eta.copy()
         for k in range(m):
             betas[k] = betas[k] + eps[slices[k]]
             eta_star[:, k] += H_blocks[k] @ eps[slices[k]]
-        q_star = _class_probs(eta_star)
+        q_star = class_probs(eta_star)[0]
 
         if eps_norm < tol:
             converged = True
@@ -332,17 +290,11 @@ def _tmle_engine(
         "r_fns": r_fns_final,
         "alpha_fn": alpha_fn,
         "iterations": iterations,
+        "loglik": loglik,
         "last_eps_norm": eps_norm,
         "converged": converged,
         "truncated_rows_max": truncated_max,
     }
-
-
-def _loglik_at(design, Q):
-    y = design.y
-    qtot = Q.sum(axis=1)
-    pick = np.where(y > 0, np.take_along_axis(Q, np.maximum(y - 1, 0)[:, None], axis=1)[:, 0], 1 - qtot)
-    return float(np.sum(np.log(np.clip(pick, 1e-300, None))))
 
 
 def _finish_fit(design, engine, init_iterations, tol):
@@ -350,7 +302,7 @@ def _finish_fit(design, engine, init_iterations, tol):
     diag = {
         "iterations": engine["iterations"],
         "final_update_norm": engine["last_eps_norm"],
-        "loglik": _loglik_at(design, engine["q_final"]),
+        "loglik": engine["loglik"],
         "converged": engine["converged"],
         "n_rows": design.n_rows,
         "n_dropped_censored": design.n_dropped_censored,
@@ -359,8 +311,6 @@ def _finish_fit(design, engine, init_iterations, tol):
         "truncated_fraction_max": engine["truncated_rows_max"] / design.n_rows,
         "eic_abs_mean_max": float(np.max(np.abs(eic_free.mean(axis=0)))) if eic_free.size else 0.0,
         "init_iterations": init_iterations,
-        "smoother_note": "penalized B-spline / NW kernel in place of GAM nuisance smoothers",
-        "info_eff_form": "Pn[Q(1-Q) H H'] derivation form (printed (J-Q) form not used)",
     }
     nuis = TmleNuisance(
         alpha_fn=engine["alpha_fn"],
@@ -373,6 +323,41 @@ def _finish_fit(design, engine, init_iterations, tol):
         free=engine["free"],
     )
     return diag, nuis
+
+
+def _fit_tmle(
+    dataset, ve_basis, mixture, smoother, kernel, bandwidth, knots, alpha, offset, tol, max_iter, delta, knot_placement
+) -> FitResult:
+    """Targeting of the m-class model from its sieve MLE; mixture=None is the
+    binary model (m = 1)."""
+    alpha_struct = _resolve_alpha(dataset, alpha, knots, knot_placement)
+    design = build_design(dataset, ve_basis, alpha_struct, mixture=mixture, extra_offset=offset)
+    free_theta, dead = _free_parameters(design)
+    if design.n_rows < 50:
+        raise VewaneError(f"targeting needs at least 50 events, got {design.n_rows}")
+    free_beta = free_theta[: design.d_total]
+
+    init = fit_design_theta(design, free_theta)
+    engine = _tmle_engine(
+        design,
+        init.theta,
+        free_beta,
+        smoother,
+        kernel,
+        bandwidth,
+        tol,
+        max_iter,
+        delta,
+        update_alpha=isinstance(design.alpha, BSplineBasis),
+        alpha_fn0=_alpha_fn(design, init.theta),
+    )
+    beta = np.where(free_beta, engine["beta"], np.nan)
+    diag, nuis = _finish_fit(design, engine, init.iterations, tol)
+    common = dict(beta=beta, beta_cov=engine["beta_cov"], nuisance=nuis, diagnostics=diag)
+    if mixture is None:
+        return FitResult(method="tmle", basis=ve_basis, **common)
+    diag["nonidentifiable_strains"] = [design.strains[k] for k in dead]
+    return FitResult(method="tmle-multinomial", basis=list(design.ve_basis), strains=design.strains, **common)
 
 
 def fit_tmle_binary(
@@ -389,39 +374,11 @@ def fit_tmle_binary(
     delta: float = POSITIVITY_DELTA,
     knot_placement: str = "quantile",
 ) -> FitResult:
-    """Iterative targeting of the binary VE model initialized at the sieve MLE."""
-    alpha_struct = _resolve_alpha(dataset, alpha, knots, knot_placement)
-    design = build_design(dataset, ve_basis, alpha_struct, extra_offset=offset)
-    counts = np.bincount(design.y, minlength=2)
-    if counts[0] == 0 or counts[1] == 0:
-        raise OnlyOneCauseError("need events of both causes")
-    if design.n_rows < 50:
-        raise VewaneError(f"targeting needs at least 50 events, got {design.n_rows}")
-
-    theta0, _, _, _, _, init_iter, _ = fit_design_theta(design)
-    from .sieve import _alpha_fn
-
-    engine = _tmle_engine(
-        design,
-        theta0,
-        np.ones(design.d_total, dtype=bool),
-        smoother,
-        kernel,
-        bandwidth,
-        tol,
-        max_iter,
-        delta,
-        update_alpha=isinstance(design.alpha, BSplineBasis),
-        alpha_fn0=_alpha_fn(design, theta0),
-    )
-    diag, nuis = _finish_fit(design, engine, init_iter, tol)
-    return FitResult(
-        method="tmle",
-        beta=engine["beta"],
-        beta_cov=engine["beta_cov"],
-        basis=ve_basis,
-        nuisance=nuis,
-        diagnostics=diag,
+    """Iterative targeting of the binary VE model initialized at the sieve MLE:
+    the one-strain case of `fit_tmle_multinomial`."""
+    return _fit_tmle(
+        dataset, ve_basis, None, smoother, kernel, bandwidth, knots, alpha, offset, tol, max_iter, delta,
+        knot_placement,
     )
 
 
@@ -441,55 +398,9 @@ def fit_tmle_multinomial(
     knot_placement: str = "quantile",
 ) -> FitResult:
     """Per-strain targeting with NW kernel nuisance estimates and class offsets log p_s(t)."""
-    alpha_struct = _resolve_alpha(dataset, alpha, knots, knot_placement)
-    design = build_design(dataset, ve_bases, alpha_struct, mixture=mixture, extra_offset=offset)
-    m = design.n_classes
-    class_counts = np.bincount(design.y, minlength=m + 1)
-    if class_counts[0] == 0 or class_counts[1:].sum() == 0:
-        raise OnlyOneCauseError("need both irrelevant and preventable events")
-    if design.n_rows < 50:
-        raise VewaneError(f"targeting needs at least 50 events, got {design.n_rows}")
-    dead = [k for k in range(m) if class_counts[k + 1] == 0]
-
-    free_theta = np.ones(design.n_params, dtype=bool)
-    free_beta = np.ones(design.d_total, dtype=bool)
-    pos = 0
-    for k, dk in enumerate(design.d_blocks):
-        if k in dead:
-            free_theta[pos : pos + dk] = False
-            free_beta[pos : pos + dk] = False
-        pos += dk
-
-    theta0, _, _, _, _, init_iter, _ = fit_design_theta(design, free_theta)
-    from .sieve import _alpha_fn
-
-    engine = _tmle_engine(
-        design,
-        theta0,
-        free_beta,
-        smoother,
-        kernel,
-        bandwidth,
-        tol,
-        max_iter,
-        delta,
-        update_alpha=isinstance(design.alpha, BSplineBasis),
-        alpha_fn0=_alpha_fn(design, theta0),
-    )
-    beta = engine["beta"].copy()
-    cov = engine["beta_cov"]
-    beta[~free_beta] = np.nan
-
-    diag, nuis = _finish_fit(design, engine, init_iter, tol)
-    diag["nonidentifiable_strains"] = [design.strains[k] for k in dead]
-    return FitResult(
-        method="tmle-multinomial",
-        beta=beta,
-        beta_cov=cov,
-        basis=list(design.ve_basis),
-        nuisance=nuis,
-        diagnostics=diag,
-        strains=design.strains,
+    return _fit_tmle(
+        dataset, ve_bases, mixture, smoother, kernel, bandwidth, knots, alpha, offset, tol, max_iter, delta,
+        knot_placement,
     )
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vewane.core import Cause, EventRecord, NonIdentifiableError, VEBasisSpec, VewaneError, validate_dataset
-from vewane.cox import build_risk_sets, cox_partial_loglik, fit_cox_tv
+from vewane.cox import cox_partial_loglik, fit_cox_tv
 from vewane.simulate import ScenarioSpec, simulate_cohort, substream_seed
 
 from .conftest import make_records, workers
@@ -117,23 +117,6 @@ class TestPartialLikelihood:
 
 
 class TestRiskSets:
-    def test_nested_and_self_inclusion(self):
-        sc = ScenarioSpec(n=300, seed=53)
-        ds, _ = simulate_cohort(sc)
-        idx = build_risk_sets(ds)
-        prev = None
-        for t in idx.times:
-            cur = set(idx.at_risk(t))
-            if prev is not None:
-                assert cur.issubset(prev)
-            prev = cur
-        by_id = {r.id: r for r in ds.records}
-        for t in idx.times:
-            at_risk = set(idx.at_risk(t))
-            owners = [r.id for r in ds.records if r.event_time == t and r.cause == Cause.PREVENTABLE]
-            for rid in owners:
-                assert rid in at_risk
-
     def test_removing_irrelevant_censored_subject(self):
         ds = three_subject_dataset()
         extra = validate_dataset(

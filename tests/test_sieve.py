@@ -1,9 +1,19 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from vewane.core import Cause, EventRecord, OnlyOneCauseError, NonIdentifiableError, VEBasisSpec, VewaneError, validate_dataset
+from vewane.core import (
+    Cause,
+    EventRecord,
+    NonIdentifiableError,
+    NotConvergedError,
+    OnlyOneCauseError,
+    VEBasisSpec,
+    VewaneError,
+    validate_dataset,
+)
 from vewane.sieve import (
     FixedOffset,
     build_design,
@@ -11,10 +21,11 @@ from vewane.sieve import (
     fit_sieve_binary,
     fit_sieve_multinomial,
     loglik_derivs,
+    newton,
 )
 from vewane.simulate import ScenarioSpec, simulate_cohort, substream_seed
 from vewane.smoothing import BSplineBasis, ConstantFn
-from vewane.surveillance import VariantMix
+from vewane.surveillance import VariantMix, impute_strains
 
 from .conftest import make_records
 from .oracles import finite_diff_gradient, finite_diff_jacobian, logistic_loglik_reference, max_rel_err
@@ -93,10 +104,17 @@ class TestLoglikDerivs:
     def test_gradient_hessian_finite_diff(self, rng):
         sc = ScenarioSpec(n=2000, seed=23)
         ds, _ = simulate_cohort(sc)
-        design = build_design(ds, LINEAR, default_alpha_basis(
-            np.array([r.event_time for r in ds.records if r.cause != Cause.CENSORED]), knots=2))
-        for _ in range(5):
-            theta = rng.normal(0, 0.3, design.n_params)
+        alpha = default_alpha_basis(
+            np.array([r.event_time for r in ds.records if r.cause != Cause.CENSORED]), knots=2)
+        binary = build_design(ds, LINEAR, alpha)
+        cases = [(binary, rng.normal(0, 0.3, binary.n_params)) for _ in range(5)]
+        # two strains: the cross blocks between VE columns and shared alpha columns
+        overlapping = VariantMix.from_counts([0.0, 0.5], {1: [70, 20], 2: [30, 80]})
+        mix_rng = np.random.default_rng(23)
+        for mix, _ in itertools.product((step_mixture(), overlapping), range(3)):
+            design = build_design(impute_strains(ds, mix, 23), LINEAR, alpha, mixture=mix)
+            cases.append((design, mix_rng.normal(0, 0.3, design.n_params)))
+        for design, theta in cases:
             ll, grad, hess = loglik_derivs(design, theta)
             fd_grad = finite_diff_gradient(lambda th: loglik_derivs(design, th)[0], theta)
             assert max_rel_err(grad, fd_grad) < 1e-6
@@ -107,6 +125,67 @@ class TestLoglikDerivs:
         design = build_design(two_cause_records(), LINEAR, INTERCEPT_ONLY)
         with pytest.raises(ValueError):
             loglik_derivs(design, np.zeros(7))
+
+
+def concave_quadratic(A, center):
+    """Log-likelihood -(theta - c)' A (theta - c) / 2 with its exact derivatives."""
+    def derivs(theta):
+        r = theta - center
+        return -0.5 * float(r @ A @ r), -A @ r, -A
+    return derivs
+
+
+class TestNewton:
+    A = np.array([[2.0, 0.5, 0.3], [0.5, 1.5, -0.2], [0.3, -0.2, 1.0]])
+    CENTER = np.array([1.0, -2.0, 0.5])
+
+    def test_concave_quadratic_one_iteration(self):
+        fit = newton(concave_quadratic(self.A, self.CENTER), np.zeros(3))
+        assert fit.converged
+        assert fit.iterations == 1
+        assert fit.trace[0]["step_scale"] == 1.0
+        assert np.allclose(fit.theta, self.CENTER, atol=1e-12)
+
+    def test_pinned_coordinates_keep_start_values(self):
+        free = np.array([True, False, True])
+        theta0 = np.array([0.0, 5.0, 0.0])
+        fit = newton(concave_quadratic(self.A, self.CENTER), theta0, free)
+        assert fit.converged
+        assert fit.theta[1] == 5.0
+        assert fit.grad.shape == (2,) and fit.hess.shape == (2, 2)
+        # the free block solves its score equation given the pinned value
+        assert np.max(np.abs(concave_quadratic(self.A, self.CENTER)(fit.theta)[1][free])) < 1e-8
+
+    @staticmethod
+    def uphill_score(drop):
+        """The score points uphill but every step lowers the log-likelihood; after
+        40 halvings the step is 2**-39 and the drop about 1e-23 * drop."""
+        return lambda theta: (-drop * float(theta @ theta), np.ones(2), -np.eye(2))
+
+    def test_no_improving_step_negligible_drop(self):
+        fit = newton(self.uphill_score(1.0), np.zeros(2))
+        assert fit.converged
+        assert fit.iterations == 1
+        assert np.array_equal(fit.theta, np.zeros(2))
+        assert fit.final_update_norm == 0.0
+
+    def test_no_improving_step_raises(self):
+        with pytest.raises(NotConvergedError):
+            newton(self.uphill_score(1e30), np.zeros(2))
+
+    def test_step_within_rounding_taken_in_full(self):
+        # near the optimum the measured change is rounding noise, not a decrease
+        def derivs(theta):
+            return -1000.0 - (1e-13 if theta.any() else 0.0), np.full(2, 1e-6), -np.eye(2)
+
+        fit = newton(derivs, np.zeros(2))
+        assert fit.converged
+        assert fit.trace[0]["step_scale"] == 1.0
+        assert np.array_equal(fit.theta, np.full(2, 1e-6))
+
+    def test_singular_information(self):
+        with pytest.raises(NonIdentifiableError):
+            newton(lambda theta: (0.0, np.ones(2), np.zeros((2, 2))), np.zeros(2))
 
 
 class TestFitSieveBinary:

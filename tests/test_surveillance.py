@@ -17,7 +17,6 @@ from vewane.surveillance import (
     sda_tt2_offset,
     sensitivity_offset,
     tt1_offset,
-    variant_mix_lookup,
 )
 
 from .conftest import make_records
@@ -91,16 +90,16 @@ class TestSdaTt2Offset:
 class TestVariantMix:
     def test_single_strain(self):
         mix = VariantMix((0.5,), (1,), ((1.0,),))
-        assert variant_mix_lookup(mix, 0.3)[0, 0] == 1.0
+        assert mix.lookup(0.3)[0, 0] == 1.0
 
     def test_counts_normalized(self):
         mix = VariantMix.from_counts([0.5], {1: [30], 2: [70]})
-        assert np.allclose(variant_mix_lookup(mix, 0.5), [[0.3, 0.7]])
+        assert np.allclose(mix.lookup(0.5), [[0.3, 0.7]])
 
     def test_constant_extension_before_first_bin(self):
         mix = VariantMix.from_counts([0.4, 0.8], {1: [30, 10], 2: [70, 90]})
-        assert np.allclose(variant_mix_lookup(mix, 0.01), [[0.3, 0.7]])
-        assert np.allclose(variant_mix_lookup(mix, 0.99), [[0.1, 0.9]])
+        assert np.allclose(mix.lookup(0.01), [[0.3, 0.7]])
+        assert np.allclose(mix.lookup(0.99), [[0.1, 0.9]])
 
     def test_proportions_must_sum_to_one(self):
         with pytest.raises(VewaneError):
