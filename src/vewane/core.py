@@ -145,81 +145,136 @@ def ve_from_f(f):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass
 class Dataset:
-    """Validated cohort of first-event records on a common calendar scale."""
+    """Validated cohort of first-event records on a common calendar scale.
 
-    records: list[EventRecord]
-    horizon: float
-    time_unit: str = "years"
-    _arrays: dict | None = field(default=None, repr=False, compare=False)
+    Held as columns (`arrays()`) plus an id list; `records`, one EventRecord
+    per participant, is built from the columns on first use, and the columns
+    from the records when only records are given.
+    """
+
+    def __init__(self, records, horizon: float, time_unit: str = "years", *, ids=None, columns=None):
+        self._records = None if records is None else list(records)
+        self._ids = ids
+        self._arrays = columns
+        self.horizon = horizon
+        self.time_unit = time_unit
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._records) if self._records is not None else len(self._ids)
+
+    def __repr__(self) -> str:
+        return f"Dataset(n={len(self)}, horizon={self.horizon!r}, time_unit={self.time_unit!r})"
 
     def arrays(self) -> dict:
         """Columnar view: vax (nan = unvaccinated), time, cause code (-1/0/1), strain (0 = none)."""
         if self._arrays is None:
-            n = len(self.records)
-            vax = np.full(n, np.nan)
-            time = np.empty(n)
-            cause = np.empty(n, dtype=np.int64)
-            strain = np.zeros(n, dtype=np.int64)
-            for i, r in enumerate(self.records):
-                if r.vax_time is not None:
-                    vax[i] = r.vax_time
-                time[i] = r.event_time
-                cause[i] = _CAUSE_CODE[r.cause]
-                if r.strain is not None:
-                    strain[i] = r.strain
-            self._arrays = {"vax": vax, "time": time, "cause": cause, "strain": strain}
+            self._arrays = _record_columns(self._records)[0]
         return self._arrays
 
+    @property
+    def ids(self) -> Sequence[str]:
+        if self._ids is None:
+            self._ids = [r.id for r in self._records]
+        return self._ids
 
-def check_records(records: Sequence[EventRecord], horizon: float) -> list[Violation]:
-    """All invariant violations, one entry per offending field."""
-    violations: list[Violation] = []
-    seen: set[str] = set()
-    for i, r in enumerate(records):
-        if r.id in seen:
-            violations.append(Violation(i, "id", f"duplicate id {r.id!r}"))
-        seen.add(r.id)
-        if not math.isfinite(r.event_time) or r.event_time < 0:
-            violations.append(Violation(i, "event_time", "negative event_time"))
-        elif r.event_time > horizon:
-            violations.append(Violation(i, "event_time", "event_time exceeds horizon"))
-        if r.vax_time is not None and (not math.isfinite(r.vax_time) or r.vax_time < 0):
-            violations.append(Violation(i, "vax_time", "negative vax_time"))
-        if r.strain is not None and r.cause is not Cause.PREVENTABLE:
-            violations.append(Violation(i, "strain", "strain on non-preventable cause"))
-    return violations
+    @property
+    def records(self) -> list[EventRecord]:
+        if self._records is None:
+            a = self._arrays
+            self._records = [
+                EventRecord(i, None if math.isnan(v) else v, t, _CODE_CAUSE[c], s or None)
+                for i, v, t, c, s in zip(
+                    self._ids, a["vax"].tolist(), a["time"].tolist(), a["cause"].tolist(), a["strain"].tolist()
+                )
+            ]
+        return self._records
 
 
-def validate_dataset(
-    records: Sequence[EventRecord], horizon: float, time_unit: str = "years"
-) -> Dataset:
-    """Build a Dataset, raising DatasetValidationError (with the violation list) when invalid."""
-    violations = check_records(records, horizon)
+def _record_columns(records: Sequence[EventRecord]):
+    """(columns, vax given, strain given) of a record sequence."""
+
+    def column(values, dtype):
+        return np.fromiter(values, dtype=dtype, count=len(records))
+
+    columns = {
+        "vax": column((np.nan if r.vax_time is None else r.vax_time for r in records), float),
+        "time": column((r.event_time for r in records), float),
+        "cause": column((_CAUSE_CODE[r.cause] for r in records), np.int64),
+        "strain": column((r.strain or 0 for r in records), np.int64),
+    }
+    vax_given = column((r.vax_time is not None for r in records), bool)
+    strain_given = column((r.strain is not None for r in records), bool)
+    return columns, vax_given, strain_given
+
+
+def _as_columns(records):
+    """(ids, columns, vax given, strain given) of records or of an id-plus-columns dict."""
+    if not isinstance(records, dict):
+        return ([r.id for r in records], *_record_columns(records))
+    ids = records["id"]
+    columns = {
+        "vax": np.asarray(records["vax"], dtype=float),
+        "time": np.asarray(records["time"], dtype=float),
+        "cause": np.asarray(records["cause"], dtype=np.int64),
+        "strain": np.asarray(records.get("strain", np.zeros(len(ids))), dtype=np.int64),
+    }
+    return ids, columns, ~np.isnan(columns["vax"]), columns["strain"] != 0
+
+
+def _violations(ids, columns, vax_given, strain_given, horizon: float) -> list[Violation]:
+    found = []  # (index, field order, field, reason)
+    if len(set(ids)) < len(ids):
+        seen: set = set()
+        for i, rid in enumerate(ids):
+            if rid in seen:
+                found.append((i, 0, "id", f"duplicate id {rid!r}"))
+            seen.add(rid)
+    time, vax = columns["time"], columns["vax"]
+    bad_time = ~np.isfinite(time) | (time < 0)
+    checks = [
+        (bad_time, 1, "event_time", "negative event_time"),
+        (~bad_time & (time > horizon), 1, "event_time", "event_time exceeds horizon"),
+        (vax_given & (~np.isfinite(vax) | (vax < 0)), 2, "vax_time", "negative vax_time"),
+        (strain_given & (columns["cause"] != 1), 3, "strain", "strain on non-preventable cause"),
+        (~np.isin(columns["cause"], (-1, 0, 1)), 4, "cause", "unknown cause code"),
+    ]
+    for mask, order, name, reason in checks:
+        found.extend((int(i), order, name, reason) for i in np.flatnonzero(mask))
+    return [Violation(i, name, reason) for i, _, name, reason in sorted(found)]
+
+
+def check_records(records, horizon: float) -> list[Violation]:
+    """All invariant violations, one entry per offending field.
+
+    `records` is a sequence of EventRecord or a dict of columns: "id" (list of
+    str), "vax" (nan = unvaccinated), "time", "cause" (code -1/0/1) and an
+    optional "strain" (0 = none), as returned by `Dataset.arrays()`.
+    """
+    return _violations(*_as_columns(records), horizon)
+
+
+def validate_dataset(records, horizon: float, time_unit: str = "years") -> Dataset:
+    """Build a Dataset, raising DatasetValidationError (with the violation list) when invalid.
+
+    `records` is a sequence of EventRecord or a dict of columns (see `check_records`).
+    """
+    ids, columns, vax_given, strain_given = _as_columns(records)
+    violations = _violations(ids, columns, vax_given, strain_given, horizon)
     if violations:
         raise DatasetValidationError(violations)
-    return Dataset(records=list(records), horizon=horizon, time_unit=time_unit)
+    if isinstance(records, dict):
+        return Dataset(None, horizon, time_unit, ids=ids, columns=columns)
+    return Dataset(records, horizon, time_unit, columns=columns)
 
 
 def convert_to_years(dataset: Dataset, days_per_year: float = 365.0) -> Dataset:
     """Rescale a day-denominated dataset to years (the internal analysis scale)."""
     if dataset.time_unit == "years":
         return dataset
-    records = [
-        EventRecord(
-            id=r.id,
-            vax_time=None if r.vax_time is None else r.vax_time / days_per_year,
-            event_time=r.event_time / days_per_year,
-            cause=r.cause,
-            strain=r.strain,
-        )
-        for r in dataset.records
-    ]
-    return Dataset(records=records, horizon=dataset.horizon / days_per_year, time_unit="years")
+    a = dataset.arrays()
+    columns = dict(a, vax=a["vax"] / days_per_year, time=a["time"] / days_per_year)
+    return Dataset(None, dataset.horizon / days_per_year, "years", ids=dataset.ids, columns=columns)
 
 
 # -- events CSV (header: id,vax_time,event_time,cause,strain) --

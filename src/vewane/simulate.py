@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .core import Cause, Dataset, EventRecord, VEBasisSpec, eval_ve_basis, validate_dataset
+from .core import Dataset, VEBasisSpec, eval_ve_basis, validate_dataset
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
@@ -251,48 +251,32 @@ def _draw_cause_times(scenario: ScenarioSpec):
     return latent, t0, t1
 
 
-def _records_first_event(scenario, latent, t0, t1) -> list[EventRecord]:
-    records = []
-    vaccinated = latent.vaccinated
-    for i in range(scenario.n):
-        a, b = t0[i], t1[i]
-        if np.isnan(a) and np.isnan(b):
-            time, cause = scenario.horizon, Cause.CENSORED
-        elif np.isnan(a) or (not np.isnan(b) and b <= a):
-            time, cause = float(b), Cause.PREVENTABLE
-        else:
-            time, cause = float(a), Cause.IRRELEVANT
-        records.append(
-            EventRecord(
-                id=f"p{i:06d}",
-                vax_time=float(latent.v_raw[i]) if vaccinated[i] else None,
-                event_time=time,
-                cause=cause,
-            )
-        )
-    return records
+def _first_event_columns(scenario, latent, t0, t1, ids) -> dict:
+    # the earlier of the two infections; a tie goes to the preventable cause
+    preventable = ~np.isnan(t1) & (np.isnan(t0) | (t1 <= t0))
+    irrelevant = ~np.isnan(t0) & ~preventable
+    return {
+        "id": ids,
+        "vax": np.where(latent.vaccinated, latent.v_raw, np.nan),
+        "time": np.where(preventable, t1, np.where(irrelevant, t0, scenario.horizon)),
+        "cause": np.where(preventable, 1, np.where(irrelevant, 0, -1)),
+    }
 
 
-def _records_preventable_followup(scenario, latent, t1) -> list[EventRecord]:
+def _preventable_followup_columns(scenario, latent, t1, ids) -> dict:
     # comparator view: follow-up for the preventable endpoint continues through
     # irrelevant infections, which never appear; only the horizon censors
-    records = []
-    vaccinated = latent.vaccinated
-    for i in range(scenario.n):
-        b = t1[i]
-        if np.isnan(b):
-            time, cause = scenario.horizon, Cause.CENSORED
-        else:
-            time, cause = float(b), Cause.PREVENTABLE
-        records.append(
-            EventRecord(
-                id=f"p{i:06d}",
-                vax_time=float(latent.v_raw[i]) if vaccinated[i] else None,
-                event_time=time,
-                cause=cause,
-            )
-        )
-    return records
+    event = ~np.isnan(t1)
+    return {
+        "id": ids,
+        "vax": np.where(latent.vaccinated, latent.v_raw, np.nan),
+        "time": np.where(event, t1, scenario.horizon),
+        "cause": np.where(event, 1, -1),
+    }
+
+
+def _participant_ids(n: int) -> list[str]:
+    return [f"p{i:06d}" for i in range(n)]
 
 
 def simulate_cohort(scenario: ScenarioSpec, endpoint: str = "first-event") -> tuple[Dataset, dict]:
@@ -304,13 +288,14 @@ def simulate_cohort(scenario: ScenarioSpec, endpoint: str = "first-event") -> tu
     vaccine-irrelevant infections would analyze.
     """
     latent, t0, t1 = _draw_cause_times(scenario)
+    ids = _participant_ids(scenario.n)
     if endpoint == "first-event":
-        records = _records_first_event(scenario, latent, t0, t1)
+        columns = _first_event_columns(scenario, latent, t0, t1, ids)
     elif endpoint == "preventable-followup":
-        records = _records_preventable_followup(scenario, latent, t1)
+        columns = _preventable_followup_columns(scenario, latent, t1, ids)
     else:
         raise ValueError(f"unknown endpoint {endpoint!r}")
-    dataset = validate_dataset(records, scenario.horizon)
+    dataset = validate_dataset(columns, scenario.horizon)
     truth = {
         "beta_true": list(scenario.beta_true),
         "basis": scenario.ve_basis.to_dict(),
@@ -323,10 +308,9 @@ def simulate_cohort(scenario: ScenarioSpec, endpoint: str = "first-event") -> tu
 def simulate_cohort_views(scenario: ScenarioSpec) -> tuple[Dataset, Dataset, dict]:
     """Both endpoint views of the same draw (shared latents and deviates)."""
     latent, t0, t1 = _draw_cause_times(scenario)
-    first = validate_dataset(_records_first_event(scenario, latent, t0, t1), scenario.horizon)
-    followup = validate_dataset(
-        _records_preventable_followup(scenario, latent, t1), scenario.horizon
-    )
+    ids = _participant_ids(scenario.n)  # shared: Dataset never mutates its ids
+    first = validate_dataset(_first_event_columns(scenario, latent, t0, t1, ids), scenario.horizon)
+    followup = validate_dataset(_preventable_followup_columns(scenario, latent, t1, ids), scenario.horizon)
     truth = {
         "beta_true": list(scenario.beta_true),
         "basis": scenario.ve_basis.to_dict(),

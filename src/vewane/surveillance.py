@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Cause, Dataset, EventRecord, VewaneError
+from .core import Dataset, VewaneError
 from .sieve import FixedOffset
 from .smoothing import SmoothFn, TableFn, smooth_fn_from_dict
 
@@ -162,17 +162,12 @@ def impute_strains(dataset: Dataset, mix: VariantMix, seed: int) -> Dataset:
     Record i consumes the i-th slot of a Philox(seed) uniform block, so the
     result does not depend on how many records actually need imputation.
     """
-    u = np.random.Generator(np.random.Philox(seed)).random(len(dataset.records))
+    a = dataset.arrays()
+    u = np.random.Generator(np.random.Philox(seed)).random(len(dataset))
     cum = np.cumsum(np.asarray(mix.proportions), axis=1)
-    records = []
-    for i, rec in enumerate(dataset.records):
-        if rec.cause is Cause.PREVENTABLE and rec.strain is None:
-            bin_idx = int(mix._bin_index(rec.event_time)[0])
-            k = int(np.searchsorted(cum[bin_idx], u[i], side="right"))
-            k = min(k, len(mix.strains) - 1)
-            records.append(
-                EventRecord(rec.id, rec.vax_time, rec.event_time, rec.cause, mix.strains[k])
-            )
-        else:
-            records.append(rec)
-    return Dataset(records=records, horizon=dataset.horizon, time_unit=dataset.time_unit)
+    rows = np.flatnonzero((a["cause"] == 1) & (a["strain"] == 0))
+    # the first strain whose cumulative proportion exceeds u, as searchsorted(side="right")
+    k = (cum[mix._bin_index(a["time"][rows])] <= u[rows, None]).sum(axis=1)
+    strain = a["strain"].copy()
+    strain[rows] = np.asarray(mix.strains)[np.minimum(k, len(mix.strains) - 1)]
+    return Dataset(None, dataset.horizon, dataset.time_unit, ids=dataset.ids, columns=dict(a, strain=strain))

@@ -146,6 +146,44 @@ class TestValidation:
         recs = [EventRecord("a", 0.9, 0.5, Cause.PREVENTABLE)]
         assert not check_records(recs, 1.0)
 
+    def test_columns_and_records_agree(self):
+        recs = [
+            EventRecord("a", 0.25, 0.5, Cause.PREVENTABLE, strain=2),
+            EventRecord("b", None, 0.75, Cause.IRRELEVANT),
+            EventRecord("c", 1.05, 1.0, Cause.CENSORED),
+        ]
+        ds = validate_dataset(recs, 1.0)
+        arr = ds.arrays()
+        assert np.array_equal(arr["vax"], [0.25, np.nan, 1.05], equal_nan=True)
+        assert arr["cause"].tolist() == [1, 0, -1] and arr["strain"].tolist() == [2, 0, 0]
+        from_columns = validate_dataset({"id": ds.ids, **arr}, 1.0)
+        assert len(from_columns) == 3
+        assert from_columns.records == recs
+
+    def test_column_violations_match_record_violations(self):
+        recs = [
+            EventRecord("a", -0.1, 0.5, Cause.IRRELEVANT, strain=1),
+            EventRecord("a", None, 1.5, Cause.PREVENTABLE),
+            EventRecord("b", math.inf, -1.0, Cause.CENSORED),
+        ]
+        columns = {
+            "id": ["a", "a", "b"],
+            "vax": [-0.1, np.nan, math.inf],
+            "time": [0.5, 1.5, -1.0],
+            "cause": [0, 1, -1],
+            "strain": [1, 0, 0],
+        }
+        expected = [
+            (0, "vax_time"), (0, "strain"), (1, "id"), (1, "event_time"), (2, "event_time"), (2, "vax_time"),
+        ]
+        assert [(v.index, v.field) for v in check_records(recs, 1.0)] == expected
+        assert check_records(columns, 1.0) == check_records(recs, 1.0)
+
+    def test_unknown_cause_code(self):
+        columns = {"id": ["a"], "vax": [np.nan], "time": [0.5], "cause": [2]}
+        with pytest.raises(DatasetValidationError, match="unknown cause code"):
+            validate_dataset(columns, 1.0)
+
 
 class TestEventsCsv:
     def test_round_trip(self, tmp_path):
