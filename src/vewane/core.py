@@ -127,6 +127,24 @@ def eval_ve_basis(spec: VEBasisSpec, tau) -> np.ndarray:
     return out
 
 
+def ve_basis_pieces(spec: VEBasisSpec) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """psi as affine pieces: (start, a, c) with psi(tau) = a + c * tau from start
+    up to the next piece's start (the last piece is unbounded).
+
+    Membership follows `eval_ve_basis`: tau is in a piece when start <= tau and
+    tau < the next start, with tau computed as fl(t - V).
+    """
+    if spec.kind == "constant":
+        return [(0.0, np.array([1.0]), np.array([0.0]))]
+    if spec.kind == "linear":
+        return [(0.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]))]
+    r = spec.ramp_length
+    return [
+        (0.0, np.array([1.0, 0.0, 0.0]), np.zeros(3)),
+        (r, np.array([0.0, 1.0, -r]), np.array([0.0, 0.0, 1.0])),
+    ]
+
+
 def f_value(beta, spec: VEBasisSpec, tau):
     """Log hazard ratio beta' psi(tau); scalar in, scalar out."""
     beta = np.asarray(beta, dtype=float)
@@ -281,51 +299,50 @@ def convert_to_years(dataset: Dataset, days_per_year: float = 365.0) -> Dataset:
 
 
 def write_events_csv(dataset: Dataset, path) -> None:
+    a = dataset.arrays()
+    names = {code: c.value for c, code in _CAUSE_CODE.items()}
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["id", "vax_time", "event_time", "cause", "strain"])
-        for r in dataset.records:
-            w.writerow(
-                [
-                    r.id,
-                    "" if r.vax_time is None else repr(r.vax_time),
-                    repr(r.event_time),
-                    r.cause.value,
-                    "" if r.strain is None else r.strain,
-                ]
+        w.writerows(
+            [i, "" if math.isnan(v) else repr(v), repr(t), names[c], s or ""]
+            for i, v, t, c, s in zip(
+                dataset.ids, a["vax"].tolist(), a["time"].tolist(), a["cause"].tolist(), a["strain"].tolist()
             )
+        )
 
 
 def read_events_csv(path, horizon: float | None = None, time_unit: str = "years") -> Dataset:
-    records = []
+    """Read the events CSV into columns; an empty vax_time means never vaccinated
+    and an empty strain means none (NaN and 0 in the columns)."""
+    required = {"id", "vax_time", "event_time", "cause"}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"id", "vax_time", "event_time", "cause"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not required.issubset(header):
             raise DatasetValidationError(
                 [Violation(-1, "header", f"events CSV needs columns {sorted(required)}")]
             )
-        for row in reader:
-            vax = row["vax_time"].strip()
-            strain = (row.get("strain") or "").strip()
-            try:
-                cause = Cause(row["cause"].strip())
-            except ValueError:
-                raise DatasetValidationError(
-                    [Violation(len(records), "cause", f"unknown cause {row['cause']!r}")]
-                ) from None
-            records.append(
-                EventRecord(
-                    id=row["id"],
-                    vax_time=float(vax) if vax else None,
-                    event_time=float(row["event_time"]),
-                    cause=cause,
-                    strain=int(strain) if strain else None,
-                )
-            )
+        rows = [row for row in reader if row]  # blank lines are skipped
+    col = {name: k for k, name in enumerate(header)}
+    codes = {c.value: code for c, code in _CAUSE_CODE.items()}
+    cause = [codes.get(row[col["cause"]].strip()) for row in rows]
+    if None in cause:
+        k = cause.index(None)
+        raise DatasetValidationError([Violation(k, "cause", f"unknown cause {rows[k][col['cause']]!r}")])
+    i_strain = col.get("strain")
+    strain = ["" if i_strain is None or i_strain >= len(row) else row[i_strain].strip() for row in rows]
+    vax = [row[col["vax_time"]].strip() for row in rows]
+    columns = {
+        "id": [row[col["id"]] for row in rows],
+        "vax": [float(v) if v else math.nan for v in vax],
+        "time": [float(row[col["event_time"]]) for row in rows],
+        "cause": cause,
+        "strain": [int(s) if s else 0 for s in strain],
+    }
     if horizon is None:
-        horizon = max((r.event_time for r in records), default=0.0)
-    return validate_dataset(records, horizon, time_unit)
+        horizon = max(columns["time"], default=0.0)
+    return validate_dataset(columns, horizon, time_unit)
 
 
 @dataclass

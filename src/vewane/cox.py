@@ -2,8 +2,10 @@
 
 The single time-varying covariate vector is x_i(t) = Z_i(t) * psi(t - V_i);
 irrelevant-cause events and administrative censoring both censor.  Ties use the
-Breslow approximation.  Constant and linear bases run through an O(n log n)
-prefix-sum evaluation; the ramp basis falls back to the direct risk-set scan.
+Breslow approximation.  Every basis runs through one O(n log n) prefix-sum
+evaluation: psi is affine in t - V on each piece of `ve_basis_pieces`, and a
+subject sits in a piece's risk set over one run of event times, so each
+risk-set moment is a running sum of subjects entering minus subjects leaving.
 """
 
 from __future__ import annotations
@@ -19,190 +21,143 @@ from .core import (
     VEBasisSpec,
     VewaneError,
     eval_ve_basis,
+    ve_basis_pieces,
 )
 from .sieve import CONDITION_BOUND, SEPARATION_BOUND, newton
 
 
 @dataclass
-class _CoxData:
-    T: np.ndarray  # all subjects, ascending
-    V: np.ndarray  # aligned vaccination times (nan = never)
-    event_times: np.ndarray  # distinct preventable times, ascending
-    tie_counts: np.ndarray
-    ev_t: np.ndarray  # per preventable event: its time
-    ev_v: np.ndarray  # per preventable event: vaccination time (nan = never)
+class _RiskSets:
+    """The beta-free part of the partial likelihood, built once per dataset and basis.
+
+    Times are shifted by the median vaccination time so that the moments
+    t S0 - S1 and t^2 S0 - 2 t S1 + S2 do not cancel.
+    """
+
+    t: np.ndarray  # distinct preventable event times, ascending, shifted
+    ties: np.ndarray  # events at each time
+    n_unvax: np.ndarray  # at risk and not yet vaccinated, at each time
+    pieces: list  # per basis piece: (a, c, entry-then-exit event indices, shifted V)
+    x_events: np.ndarray  # covariate of each preventable event
 
 
-def _prepare(dataset: Dataset) -> _CoxData:
+def _first_reached(times: np.ndarray, v: np.ndarray, start: float) -> np.ndarray:
+    """Per v, the first index k with fl(times[k] - v) >= start (len(times) if none).
+
+    This is the test `eval_ve_basis` applies to tau = fl(t - v); fl(v + start)
+    can round to either side of it, so the searchsorted guess is moved until
+    the exact test agrees (fl(t - v) is monotone in t, so the moves are few).
+    """
+    k = np.searchsorted(times, v + start)
+    last = times.shape[0] - 1
+    while True:
+        down = (k > 0) & (times[np.maximum(k - 1, 0)] - v >= start)
+        up = (k <= last) & (times[np.minimum(k, last)] - v < start)
+        if not (down.any() or up.any()):
+            return k
+        k = k - down + up
+
+
+def _running_sum(ends: np.ndarray, w: np.ndarray, n_times: int) -> np.ndarray:
+    """Per event index k, the sum of w over subjects with entry <= k < exit.
+
+    Entries minus exits cancel: the subjects that have left can outweigh those
+    still in by many orders of magnitude.  So w is split into a part on a grid
+    of 2^-30 max|w|, whose sums are exact (below 2^53 grid steps for n < 2^23),
+    and a remainder below half a step, whose rounding then stays negligible.
+    """
+    w = np.concatenate([w, -w])
+    step = 2.0 ** (np.frexp(np.max(np.abs(w), initial=0.0))[1] - 30)
+    coarse = np.round(w / step) * step
+    return sum(np.bincount(ends, x, minlength=n_times + 1)[:n_times].cumsum() for x in (coarse, w - coarse))
+
+
+def _risk_sets(dataset: Dataset, basis: VEBasisSpec) -> _RiskSets:
     arr = dataset.arrays()
-    order = np.argsort(arr["time"], kind="stable")
-    T = arr["time"][order]
-    V = arr["vax"][order]
+    time, vax = arr["time"], arr["vax"]
     prevent = arr["cause"] == 1
     if not np.any(prevent):
         raise VewaneError("no preventable events")
-    ev_t = arr["time"][prevent]
-    ev_v = arr["vax"][prevent]
-    times, counts = np.unique(ev_t, return_counts=True)
-    return _CoxData(T, V, times, counts, ev_t, ev_v)
+    times, ties = np.unique(time[prevent], return_counts=True)
+    n_times = times.shape[0]
+    vaxed = ~np.isnan(vax)
+    v = vax[vaxed]
+    center = float(np.median(v)) if v.size else 0.0
+    at_risk_until = np.searchsorted(times, time[vaxed], side="right")
+    n_unvax = (time.shape[0] - np.searchsorted(np.sort(time), times)).astype(float)
+    spec = ve_basis_pieces(basis)
+    pieces = []
+    for (start, a, c), stop in zip(spec, [s for s, _, _ in spec[1:]] + [np.inf]):
+        entry = _first_reached(times, v, start)
+        exit_ = np.maximum(np.minimum(_first_reached(times, v, stop), at_risk_until), entry)
+        keep = entry < exit_
+        ends = np.concatenate([entry[keep], exit_[keep]])
+        n_unvax -= _running_sum(ends, np.ones(int(keep.sum())), n_times)
+        pieces.append((a, c, ends, v[keep] - center))
+    ev_v = vax[prevent]
+    z = ~np.isnan(ev_v) & (ev_v <= time[prevent])
+    tau = np.where(z, time[prevent] - np.where(z, ev_v, 0.0), 0.0)
+    x_events = z[:, None] * eval_ve_basis(basis, tau)
+    return _RiskSets(times - center, ties.astype(float), n_unvax, pieces, x_events)
 
 
-def _event_covariates(data: _CoxData, basis: VEBasisSpec) -> np.ndarray:
-    z = ~np.isnan(data.ev_v) & (data.ev_v <= data.ev_t)
-    tau = np.where(z, data.ev_t - np.where(np.isnan(data.ev_v), 0.0, data.ev_v), 0.0)
-    return z[:, None] * eval_ve_basis(basis, tau)
+def _derivs(rs: _RiskSets, beta: np.ndarray):
+    """Log partial likelihood, score and hessian from per-piece running sums.
 
-
-def _derivs_scan(data: _CoxData, basis: VEBasisSpec, beta: np.ndarray):
-    """Direct risk-set evaluation, any basis."""
-    d = basis.dimension
-    ll = 0.0
-    grad = np.zeros(d)
-    hess = np.zeros((d, d))
-    x_events = _event_covariates(data, basis)
-    ev_ptr = 0
-    for t, ties in zip(data.event_times, data.tie_counts):
-        pos = int(np.searchsorted(data.T, t, side="left"))
-        v = data.V[pos:]
-        z = ~np.isnan(v) & (v <= t)
-        tau = np.where(z, t - np.where(np.isnan(v), 0.0, v), 0.0)
-        x = z[:, None] * eval_ve_basis(basis, tau)
-        eta = x @ beta
-        w = np.exp(eta)
-        a = float(w.sum())
-        xbar = (w @ x) / a
-        xxw = (x.T * w) @ x / a
-        for _ in range(int(ties)):
-            xe = x_events[ev_ptr]
-            ll += float(xe @ beta)
-            grad += xe
-            ev_ptr += 1
-        ll -= ties * np.log(a)
-        grad -= ties * xbar
-        hess -= ties * (xxw - np.outer(xbar, xbar))
-    return ll, grad, hess
-
-
-class _PrefixTables:
-    """Prefix sums enabling O(log n) risk-set moments for constant/linear bases.
-
-    For the evaluation weight g_k(V) = V^k * exp(-b1 (V - c)) the sums
-    S_k(t) = sum over {V_i <= t, T_i >= t} split into all-vaccinated prefix
-    minus departed subjects; departures activate strictly after T_i when
-    V_i <= T_i and at V_i otherwise.
+    On a piece psi = a + c tau, so a subject's weight is phi(t) g(V) with
+    phi = exp(beta.a + (beta.c) t) and g = exp(-(beta.c) V); with
+    S_m = sum g V^m over the piece's risk set the risk-set sums are
+    A = n_unvax + sum phi S0, G = sum phi [a S0 + c (t S0 - S1)] and
+    H = sum phi [a a' S0 + (a c' + c a')(t S0 - S1) + c c' (t^2 S0 - 2 t S1 + S2)].
     """
-
-    def __init__(self, data: _CoxData, b1: float, center: float, n_moments: int):
-        vaxed = ~np.isnan(data.V)
-        V = data.V[vaxed]
-        T = data.T[vaxed]
-        self.n_total = data.T.shape[0]
-        self.all_T = data.T
-        self.center = center
-        g = np.exp(-b1 * (V - center))
-
-        self.v_sorted = np.sort(V)
-        order_v = np.argsort(V, kind="stable")
-        ga = (T >= V)  # group A departs after own event time; group B at V
-        self.m = n_moments
-
-        def prefixes(values, keys_order):
-            out = []
-            for k in range(n_moments):
-                vals = values ** k * g if k else g
-                out.append(np.concatenate([[0.0], np.cumsum(vals[keys_order])]))
-            cnt = np.concatenate([[0.0], np.cumsum(np.ones(len(keys_order)))])
-            return out, cnt
-
-        self.pref_all, self.cnt_all = prefixes(V, order_v)
-
-        a_idx = np.nonzero(ga)[0]
-        order_a = a_idx[np.argsort(T[a_idx], kind="stable")]
-        self.ta_sorted = T[order_a]
-        self.pref_a, self.cnt_a = prefixes(V, order_a)
-
-        b_idx = np.nonzero(~ga)[0]
-        order_b = b_idx[np.argsort(V[b_idx], kind="stable")]
-        self.vb_sorted = V[order_b]
-        self.pref_b, self.cnt_b = prefixes(V, order_b)
-
-    def moments(self, t: np.ndarray):
-        """(S_0..S_{m-1}, vaccinated count, unvaccinated count) on the risk sets at t."""
-        ia = np.searchsorted(self.v_sorted, t, side="right")
-        id_a = np.searchsorted(self.ta_sorted, t, side="left")
-        id_b = np.searchsorted(self.vb_sorted, t, side="right")
-        s = [self.pref_all[k][ia] - self.pref_a[k][id_a] - self.pref_b[k][id_b] for k in range(self.m)]
-        cnt_vax = self.cnt_all[ia] - self.cnt_a[id_a] - self.cnt_b[id_b]
-        n_risk = self.n_total - np.searchsorted(self.all_T, t, side="left")
-        return s, cnt_vax, n_risk - cnt_vax
+    t, ties = rs.t, rs.ties
+    A = rs.n_unvax.copy()
+    G = np.zeros((t.shape[0], beta.shape[0]))
+    moments = []
+    for a, c, ends, u in rs.pieces:
+        b = float(c @ beta)
+        phi = np.exp(float(a @ beta) + b * t)
+        g = np.exp(-b * u)
+        s0, s1, s2 = (phi * _running_sum(ends, w, t.shape[0]) for w in (g, g * u, g * u * u))
+        d1 = t * s0 - s1
+        d2 = t * t * s0 - 2.0 * t * s1 + s2
+        A += s0
+        G += np.outer(s0, a) + np.outer(d1, c)
+        moments.append((a, c, s0, d1, d2))
+    xbar = G / A[:, None]
+    r = ties / A
+    hess = (xbar.T * ties) @ xbar
+    for a, c, s0, d1, d2 in moments:
+        ac = np.outer(a, c)
+        hess -= np.outer(a, a) * (r @ s0) + (ac + ac.T) * (r @ d1) + np.outer(c, c) * (r @ d2)
+    x_sum = rs.x_events.sum(axis=0)
+    ll = float(x_sum @ beta - ties @ np.log(A))
+    return ll, x_sum - ties @ xbar, hess
 
 
-def _derivs_fast(data: _CoxData, basis: VEBasisSpec, beta: np.ndarray):
-    """Prefix-sum evaluation for the constant (d=1) and linear (d=2) bases."""
-    t = data.event_times
-    ties = data.tie_counts.astype(float)
-    b0 = float(beta[0])
-    b1 = float(beta[1]) if basis.kind == "linear" else 0.0
-    vaxed = ~np.isnan(data.V)
-    center = float(np.median(data.V[vaxed])) if np.any(vaxed) else 0.0
-    d = basis.dimension
-    tables = _PrefixTables(data, b1, center, n_moments=d + 1)
-    s, cnt_vax, cnt_unvax = tables.moments(t)
-
-    phi = np.exp(b0 + b1 * (t - center))
-    a0 = phi * s[0]
-    A = cnt_unvax + a0
-    g1 = a0
-    if d == 2:
-        g2 = phi * (t * s[0] - s[1])
-        g22 = phi * (t * t * s[0] - 2.0 * t * s[1] + s[2])
-
-    x_events = _event_covariates(data, basis)
-    ev_sums = x_events.sum(axis=0)
-
-    ll = float((x_events @ beta).sum() - (ties * np.log(A)).sum())
-    xbar1 = g1 / A
-    grad = np.zeros(d)
-    hess = np.zeros((d, d))
-    grad[0] = float(ev_sums[0] - (ties * xbar1).sum())
-    hess[0, 0] = -float((ties * (g1 / A - xbar1 * xbar1)).sum())
-    if d == 2:
-        xbar2 = g2 / A
-        grad[1] = float(ev_sums[1] - (ties * xbar2).sum())
-        hess[0, 1] = hess[1, 0] = -float((ties * (g2 / A - xbar1 * xbar2)).sum())
-        hess[1, 1] = -float((ties * (g22 / A - xbar2 * xbar2)).sum())
-    return ll, grad, hess
-
-
-def cox_partial_loglik(dataset: Dataset, ve_basis: VEBasisSpec, beta, fast: bool | None = None):
+def cox_partial_loglik(dataset: Dataset, ve_basis: VEBasisSpec, beta):
     """Breslow log partial likelihood with exact gradient and hessian."""
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (ve_basis.dimension,):
         raise ValueError(f"beta must have shape ({ve_basis.dimension},)")
-    data = _prepare(dataset)
-    if fast is None:
-        fast = ve_basis.kind in ("constant", "linear")
-    if fast and ve_basis.kind not in ("constant", "linear"):
-        raise ValueError("fast path only supports constant/linear bases")
+    rs = _risk_sets(dataset, ve_basis)
     with np.errstate(over="ignore"):
-        return (_derivs_fast if fast else _derivs_scan)(data, ve_basis, beta)
+        return _derivs(rs, beta)
 
 
 def fit_cox_tv(dataset: Dataset, ve_basis: VEBasisSpec) -> FitResult:
     """Newton fit; beta_cov is the inverse observed information."""
-    data = _prepare(dataset)
-    if not np.any(~np.isnan(data.V)):
+    rs = _risk_sets(dataset, ve_basis)
+    if np.all(np.isnan(dataset.arrays()["vax"])):
         raise NonIdentifiableError("all subjects unvaccinated: no covariate contrast")
-    x_events = _event_covariates(data, ve_basis)
-    use_fast = ve_basis.kind in ("constant", "linear")
 
     def derivs(b):
         with np.errstate(over="ignore"):
-            return (_derivs_fast if use_fast else _derivs_scan)(data, ve_basis, b)
+            return _derivs(rs, b)
 
     fit = newton(derivs, np.zeros(ve_basis.dimension))
     beta, hess = fit.theta, fit.hess
-    if np.max(np.abs(x_events @ beta)) > SEPARATION_BOUND:
+    if np.max(np.abs(rs.x_events @ beta)) > SEPARATION_BOUND:
         raise NonIdentifiableError("separation in the partial likelihood")
     if not np.all(np.isfinite(hess)) or np.linalg.cond(-hess) > CONDITION_BOUND:
         raise NonIdentifiableError("singular information at the optimum")
@@ -220,7 +175,7 @@ def fit_cox_tv(dataset: Dataset, ve_basis: VEBasisSpec) -> FitResult:
             "loglik": fit.loglik,
             "score_max": float(np.max(np.abs(fit.grad))),
             "converged": bool(fit.converged),
-            "n_events": int(data.ev_t.shape[0]),
+            "n_events": int(rs.x_events.shape[0]),
             "ties": "breslow",
         },
     )

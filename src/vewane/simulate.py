@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .core import Dataset, VEBasisSpec, eval_ve_basis, validate_dataset
+from .core import Dataset, VEBasisSpec, eval_ve_basis, validate_dataset, ve_basis_pieces
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
@@ -171,12 +171,9 @@ def _post_vax_integral(scenario: ScenarioSpec, v, t):
     if basis.kind == "constant" or (basis.kind == "linear" and beta[1] == 0.0):
         return math.exp(beta[0]) * _shape_integral(scenario, v, t)
 
-    # piecewise Gauss-Legendre; split at the ramp breakpoint where f has a kink
-    if basis.kind == "ramp":
-        mid = np.minimum(v + basis.ramp_length, t)
-        segments = [(v, mid), (mid, t)]
-    else:
-        segments = [(v, t)]
+    # piecewise Gauss-Legendre; split where a basis piece starts, since f has a kink there
+    edges = [v] + [np.minimum(v + start, t) for start, _, _ in ve_basis_pieces(basis)[1:]] + [t]
+    segments = zip(edges[:-1], edges[1:])
     total = np.zeros(np.broadcast(v, t).shape)
     two_pi = 2.0 * math.pi
     for a, b in segments:
@@ -279,6 +276,14 @@ def _participant_ids(n: int) -> list[str]:
     return [f"p{i:06d}" for i in range(n)]
 
 
+def _truth(scenario: ScenarioSpec) -> dict:
+    return {
+        "beta_true": list(scenario.beta_true),
+        "basis": scenario.ve_basis.to_dict(),
+        "scenario": scenario.to_dict(),
+    }
+
+
 def simulate_cohort(scenario: ScenarioSpec, endpoint: str = "first-event") -> tuple[Dataset, dict]:
     """One cohort plus its ground-truth sidecar; byte-identical for a fixed seed.
 
@@ -295,14 +300,7 @@ def simulate_cohort(scenario: ScenarioSpec, endpoint: str = "first-event") -> tu
         columns = _preventable_followup_columns(scenario, latent, t1, ids)
     else:
         raise ValueError(f"unknown endpoint {endpoint!r}")
-    dataset = validate_dataset(columns, scenario.horizon)
-    truth = {
-        "beta_true": list(scenario.beta_true),
-        "basis": scenario.ve_basis.to_dict(),
-        "scenario": scenario.to_dict(),
-        "endpoint": endpoint,
-    }
-    return dataset, truth
+    return validate_dataset(columns, scenario.horizon), dict(_truth(scenario), endpoint=endpoint)
 
 
 def simulate_cohort_views(scenario: ScenarioSpec) -> tuple[Dataset, Dataset, dict]:
@@ -311,9 +309,4 @@ def simulate_cohort_views(scenario: ScenarioSpec) -> tuple[Dataset, Dataset, dic
     ids = _participant_ids(scenario.n)  # shared: Dataset never mutates its ids
     first = validate_dataset(_first_event_columns(scenario, latent, t0, t1, ids), scenario.horizon)
     followup = validate_dataset(_preventable_followup_columns(scenario, latent, t1, ids), scenario.horizon)
-    truth = {
-        "beta_true": list(scenario.beta_true),
-        "basis": scenario.ve_basis.to_dict(),
-        "scenario": scenario.to_dict(),
-    }
-    return first, followup, truth
+    return first, followup, _truth(scenario)

@@ -172,13 +172,25 @@ class KernelFn(SmoothFn):
         self.domain = (float(self.x.min()), float(self.x.max()))
 
     def _eval(self, t):
+        # one (n_eval x n_data) buffer updated in place: the dense evaluation
+        # otherwise holds several such temporaries at once
+        kw = np.subtract(self.x[None, :], t[:, None])
         with np.errstate(over="ignore"):
-            u = (self.x[None, :] - t[:, None]) / self.bandwidth
+            kw /= self.bandwidth
             if self.kernel == "epanechnikov":
-                k = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - np.minimum(np.abs(u), 1.0) ** 2), 0.0)
+                np.abs(kw, out=kw)
+                outside = ~(kw <= 1.0)  # NaN too
+                np.minimum(kw, 1.0, out=kw)
+                np.square(kw, out=kw)
+                np.subtract(1.0, kw, out=kw)
+                kw *= 0.75
+                kw[outside] = 0.0
             else:
-                k = np.exp(-0.5 * np.minimum(u * u, 1e6))
-        kw = k * self.w[None, :]
+                np.square(kw, out=kw)
+                np.minimum(kw, 1e6, out=kw)
+                kw *= -0.5
+                np.exp(kw, out=kw)
+        kw *= self.w[None, :]
         den = kw.sum(axis=1)
         num = kw @ self.y
         out = np.divide(num, den, out=np.zeros_like(den), where=den > 0)

@@ -10,6 +10,8 @@ import itertools
 
 import numpy as np
 
+from vewane.core import eval_ve_basis
+
 
 def naive_bspline_value(knots, j, degree, t, t_max):
     """Textbook Cox-de Boor recursion for a single basis function B_{j,degree}(t)."""
@@ -99,3 +101,45 @@ def max_rel_err(a, b, floor=1.0):
     b = np.asarray(b, dtype=float)
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / scale))
+
+
+def cox_derivs_scan(dataset, basis, beta):
+    """Breslow log partial likelihood, score and hessian by a direct scan of
+    every risk set: O(events x n), any basis."""
+    arr = dataset.arrays()
+    order = np.argsort(arr["time"], kind="stable")
+    T = arr["time"][order]
+    V = arr["vax"][order]
+    prevent = arr["cause"] == 1
+    ev_t = arr["time"][prevent]
+    ev_v = arr["vax"][prevent]
+    event_times, tie_counts = np.unique(ev_t, return_counts=True)
+    z = ~np.isnan(ev_v) & (ev_v <= ev_t)
+    tau = np.where(z, ev_t - np.where(np.isnan(ev_v), 0.0, ev_v), 0.0)
+    x_events = z[:, None] * eval_ve_basis(basis, tau)
+
+    d = basis.dimension
+    ll = 0.0
+    grad = np.zeros(d)
+    hess = np.zeros((d, d))
+    ev_ptr = 0
+    for t, ties in zip(event_times, tie_counts):
+        pos = int(np.searchsorted(T, t, side="left"))
+        v = V[pos:]
+        z = ~np.isnan(v) & (v <= t)
+        tau = np.where(z, t - np.where(np.isnan(v), 0.0, v), 0.0)
+        x = z[:, None] * eval_ve_basis(basis, tau)
+        eta = x @ beta
+        w = np.exp(eta)
+        a = float(w.sum())
+        xbar = (w @ x) / a
+        xxw = (x.T * w) @ x / a
+        for _ in range(int(ties)):
+            xe = x_events[ev_ptr]
+            ll += float(xe @ beta)
+            grad += xe
+            ev_ptr += 1
+        ll -= ties * np.log(a)
+        grad -= ties * xbar
+        hess -= ties * (xxw - np.outer(xbar, xbar))
+    return ll, grad, hess

@@ -9,11 +9,13 @@ from vewane.core import (
     DatasetValidationError,
     EventRecord,
     VEBasisSpec,
+    Violation,
     check_records,
     eval_ve_basis,
     f_value,
     read_events_csv,
     validate_dataset,
+    ve_basis_pieces,
     ve_from_f,
     write_events_csv,
 )
@@ -46,6 +48,18 @@ class TestBasis:
         for tau in np.linspace(0, 0.4, 50):
             v = eval_ve_basis(RAMP, tau)
             assert v[0] + v[1] == 1.0
+
+    def test_pieces_match_eval(self):
+        # tau = fl(t - V) for day-unit times lands on both sides of r = 14/365
+        tau = np.concatenate([np.linspace(0, 0.4, 41), [(d + 14) / 365 - d / 365 for d in range(420)]])
+        for basis in (VEBasisSpec("constant"), LINEAR, RAMP):
+            pieces = ve_basis_pieces(basis)
+            stops = [start for start, _, _ in pieces[1:]] + [np.inf]
+            got = sum(
+                ((start <= tau) & (tau < stop))[:, None] * (a + c * tau[:, None])
+                for (start, a, c), stop in zip(pieces, stops)
+            )
+            assert np.array_equal(got, eval_ve_basis(basis, tau))
 
     def test_constant(self):
         assert np.allclose(eval_ve_basis(VEBasisSpec("constant"), 0.3), [1.0])
@@ -197,6 +211,20 @@ class TestEventsCsv:
         write_events_csv(ds, path)
         back = read_events_csv(path, horizon=1.0)
         assert back.records == ds.records
+
+    def test_optional_strain_blank_lines_and_unknown_cause(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("id,vax_time,event_time,cause\na,0.25,0.5,preventable\n\nb,,0.75,irrelevant\n")
+        ds = read_events_csv(path)
+        assert ds.records == [
+            EventRecord("a", 0.25, 0.5, Cause.PREVENTABLE),
+            EventRecord("b", None, 0.75, Cause.IRRELEVANT),
+        ]
+        assert ds.horizon == 0.75
+        path.write_text("id,vax_time,event_time,cause\na,,0.5,censored\nb,,0.7,sick\n")
+        with pytest.raises(DatasetValidationError) as err:
+            read_events_csv(path)
+        assert err.value.violations == [Violation(1, "cause", "unknown cause 'sick'")]
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.csv"

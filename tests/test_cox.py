@@ -4,12 +4,22 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from vewane.core import Cause, EventRecord, NonIdentifiableError, VEBasisSpec, VewaneError, validate_dataset
+from vewane.cli import DAYS_PER_YEAR
+from vewane.core import (
+    Cause,
+    EventRecord,
+    NonIdentifiableError,
+    VEBasisSpec,
+    VewaneError,
+    convert_to_years,
+    validate_dataset,
+)
 from vewane.cox import cox_partial_loglik, fit_cox_tv
+from vewane.sieve import newton
 from vewane.simulate import ScenarioSpec, simulate_cohort, substream_seed
 
 from .conftest import make_records, workers
-from .oracles import finite_diff_gradient, finite_diff_jacobian, max_rel_err
+from .oracles import cox_derivs_scan, finite_diff_gradient, finite_diff_jacobian, max_rel_err
 
 CONST = VEBasisSpec("constant")
 LINEAR = VEBasisSpec("linear")
@@ -21,6 +31,33 @@ def _null_fit(seed):
     )
     ds, _ = simulate_cohort(scenario)
     return fit_cox_tv(ds, LINEAR).beta
+
+
+# three preventable events tied at t = 0.4 (two vaccinated, one not)
+TIE_ROWS = [
+    ("a", 0.0, 0.4, Cause.PREVENTABLE),
+    ("b", None, 0.4, Cause.PREVENTABLE),
+    ("c", 0.3, 0.4, Cause.PREVENTABLE),
+    ("d", 0.2, 0.9, Cause.PREVENTABLE),
+    ("e", None, 1.0, Cause.CENSORED),
+    ("f", 0.8, 1.0, Cause.CENSORED),
+]
+
+
+def day_unit_boundary_cohort():
+    """Day-unit cohort converted to years whose events fall exactly 0 and 14 days
+    after vaccination; fl(t - V) < 14/365 and V + 14/365 <= t disagree on many."""
+    rows = [(f"u{d}", None, float(d), Cause.PREVENTABLE) for d in (1, 2, 2, 5)]  # nobody vaccinated yet
+    rows += [(f"b{d}", float(d), d + 14.0, Cause.PREVENTABLE) for d in range(10, 430)]
+    rows += [(f"z{d}", float(d), float(d), Cause.PREVENTABLE) for d in range(10, 430, 7)]  # V == T
+    rows += [(f"p{d}", float(d), d + 20.0 + d % 17, Cause.PREVENTABLE) for d in range(10, 400, 3)]
+    rows += [(f"i{d}", float(d), d + 40.0, Cause.IRRELEVANT) for d in range(10, 400, 9)]
+    rows += [(f"n{d}", None, float(d), Cause.PREVENTABLE) for d in range(7, 450, 2)]
+    rows += [(f"v{d}", float(d), 450.0, Cause.CENSORED) for d in range(10, 430)]
+    rows += [(f"c{d}", None, 450.0, Cause.CENSORED) for d in range(200)]
+    rows += [("late", 300.0, 200.0, Cause.PREVENTABLE), ("late2", 449.0, 120.0, Cause.CENSORED)]
+    records = [EventRecord(f"{r[0]}-{k}", r[1], r[2], r[3]) for k, r in enumerate(rows)]
+    return convert_to_years(validate_dataset(records, 450.0, time_unit="days"), DAYS_PER_YEAR)
 
 
 def three_subject_dataset():
@@ -58,33 +95,40 @@ class TestPartialLikelihood:
         with pytest.raises(VewaneError):
             cox_partial_loglik(ds, CONST, np.zeros(1))
 
-    def test_fast_matches_scan(self, rng):
-        sc = ScenarioSpec(n=1500, seed=43)
-        ds, _ = simulate_cohort(sc)
-        for _ in range(6):
-            beta = rng.normal(0, 0.5, 2)
-            ll_f, g_f, h_f = cox_partial_loglik(ds, LINEAR, beta, fast=True)
-            ll_s, g_s, h_s = cox_partial_loglik(ds, LINEAR, beta, fast=False)
-            assert ll_f == pytest.approx(ll_s, rel=1e-10)
-            assert np.allclose(g_f, g_s, rtol=1e-9, atol=1e-9)
-            assert np.allclose(h_f, h_s, rtol=1e-9, atol=1e-9)
+    @pytest.mark.parametrize("kind", ["constant", "linear", "ramp"])
+    def test_matches_scan_oracle(self, kind, rng):
+        for ds, ramp_length in (
+            (simulate_cohort(ScenarioSpec(n=1500, seed=43))[0], 0.1),
+            (make_records(TIE_ROWS), 0.3),
+            (day_unit_boundary_cohort(), 14 / DAYS_PER_YEAR),
+        ):
+            basis = VEBasisSpec(kind, ramp_length=ramp_length if kind == "ramp" else None)
+            for _ in range(4):
+                beta = rng.normal(0, 0.5, basis.dimension)
+                ll, grad, hess = cox_partial_loglik(ds, basis, beta)
+                ll_s, grad_s, hess_s = cox_derivs_scan(ds, basis, beta)
+                assert max_rel_err(ll, ll_s) < 1e-10
+                assert max_rel_err(grad, grad_s) < 1e-10
+                assert max_rel_err(hess, hess_s) < 1e-10
 
-    def test_fast_matches_scan_with_ties(self):
-        rows = [
-            ("a", 0.0, 0.4, Cause.PREVENTABLE),
-            ("b", None, 0.4, Cause.PREVENTABLE),
-            ("c", 0.3, 0.4, Cause.PREVENTABLE),
-            ("d", 0.2, 0.9, Cause.PREVENTABLE),
-            ("e", None, 1.0, Cause.CENSORED),
-            ("f", 0.8, 1.0, Cause.CENSORED),
-        ]
-        ds = make_records(rows)
-        beta = np.array([-0.3, 0.7])
-        ll_f, g_f, h_f = cox_partial_loglik(ds, LINEAR, beta, fast=True)
-        ll_s, g_s, h_s = cox_partial_loglik(ds, LINEAR, beta, fast=False)
-        assert ll_f == pytest.approx(ll_s, rel=1e-12)
-        assert np.allclose(g_f, g_s, atol=1e-12)
-        assert np.allclose(h_f, h_s, atol=1e-12)
+    def test_steep_slope_after_early_vaccinees_leave(self):
+        # every vaccinee has its event 14 days after vaccination, so at this slope
+        # the weights that have left a risk set outweigh those still in it by ~1e17
+        rows = [(f"b{d}", d / 365, (d + 14) / 365, Cause.PREVENTABLE) for d in range(10, 430)]
+        rows += [(f"c{d}", None, 450 / 365, Cause.CENSORED) for d in range(60)]
+        ds = make_records(rows, horizon=450 / 365)
+        beta = np.array([3.9, 33.0])
+        for got, want in zip(cox_partial_loglik(ds, LINEAR, beta), cox_derivs_scan(ds, LINEAR, beta)):
+            assert max_rel_err(got, want) < 1e-6
+
+    def test_ramp_fit_matches_newton_on_scan(self):
+        for ds, basis in (
+            (simulate_cohort(ScenarioSpec(n=1500, seed=43))[0], VEBasisSpec("ramp", ramp_length=0.1)),
+            (day_unit_boundary_cohort(), VEBasisSpec("ramp", ramp_length=14 / DAYS_PER_YEAR)),
+        ):
+            want = newton(lambda b: cox_derivs_scan(ds, basis, b), np.zeros(3))
+            assert want.converged
+            assert np.max(np.abs(fit_cox_tv(ds, basis).beta - want.theta)) < 1e-10
 
     def test_breslow_hand_example(self):
         # two tied events at t=0.5 among four subjects; x = Z (constant basis)
