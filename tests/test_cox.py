@@ -95,6 +95,25 @@ class TestPartialLikelihood:
         with pytest.raises(VewaneError):
             cox_partial_loglik(ds, CONST, np.zeros(1))
 
+    def test_fast_matches_scan(self, rng):
+        ds, _ = simulate_cohort(ScenarioSpec(n=1500, seed=43))
+        for _ in range(6):
+            beta = rng.normal(0, 0.5, 2)
+            ll_f, g_f, h_f = cox_partial_loglik(ds, LINEAR, beta)
+            ll_s, g_s, h_s = cox_derivs_scan(ds, LINEAR, beta)
+            assert ll_f == pytest.approx(ll_s, rel=1e-10)
+            assert np.allclose(g_f, g_s, rtol=1e-9, atol=1e-9)
+            assert np.allclose(h_f, h_s, rtol=1e-9, atol=1e-9)
+
+    def test_fast_matches_scan_with_ties(self):
+        ds = make_records(TIE_ROWS)
+        beta = np.array([-0.3, 0.7])
+        ll_f, g_f, h_f = cox_partial_loglik(ds, LINEAR, beta)
+        ll_s, g_s, h_s = cox_derivs_scan(ds, LINEAR, beta)
+        assert ll_f == pytest.approx(ll_s, rel=1e-12)
+        assert np.allclose(g_f, g_s, atol=1e-12)
+        assert np.allclose(h_f, h_s, atol=1e-12)
+
     @pytest.mark.parametrize("kind", ["constant", "linear", "ramp"])
     def test_matches_scan_oracle(self, kind, rng):
         for ds, ramp_length in (
