@@ -159,6 +159,12 @@ class SplineFn(SmoothFn):
 
 @dataclass
 class KernelFn(SmoothFn):
+    """Nadaraya-Watson smoother: the kernel-weighted mean of y around each point.
+
+    Where the kernel puts no weight on any data point, the value is the y of
+    the nearest data point.
+    """
+
     x: np.ndarray
     y: np.ndarray
     w: np.ndarray
@@ -172,33 +178,16 @@ class KernelFn(SmoothFn):
         self.domain = (float(self.x.min()), float(self.x.max()))
 
     def _eval(self, t):
-        # one (n_eval x n_data) buffer updated in place: the dense evaluation
-        # otherwise holds several such temporaries at once
-        kw = np.subtract(self.x[None, :], t[:, None])
-        with np.errstate(over="ignore"):
-            kw /= self.bandwidth
-            if self.kernel == "epanechnikov":
-                np.abs(kw, out=kw)
-                outside = ~(kw <= 1.0)  # NaN too
-                np.minimum(kw, 1.0, out=kw)
-                np.square(kw, out=kw)
-                np.subtract(1.0, kw, out=kw)
-                kw *= 0.75
-                kw[outside] = 0.0
-            else:
-                np.square(kw, out=kw)
-                np.minimum(kw, 1e6, out=kw)
-                kw *= -0.5
-                np.exp(kw, out=kw)
-        kw *= self.w[None, :]
-        den = kw.sum(axis=1)
-        num = kw @ self.y
+        order = np.argsort(self.x)
+        xs, ys, ws = self.x[order], self.y[order], self.w[order]
+        if self.kernel == "epanechnikov":
+            num, den = _epanechnikov_sums(xs, ys, ws, self.bandwidth, t)
+        else:
+            num, den = _gaussian_sums(xs, ys, ws, self.bandwidth, t)
         out = np.divide(num, den, out=np.zeros_like(den), where=den > 0)
         dead = den <= 0
         if np.any(dead):
             # no kernel mass: fall back to the value at the nearest supported point
-            order = np.argsort(self.x)
-            xs, ys = self.x[order], self.y[order]
             idx = np.clip(np.searchsorted(xs, t[dead]), 1, len(xs) - 1)
             nearer = np.abs(xs[idx] - t[dead]) < np.abs(xs[idx - 1] - t[dead])
             out[dead] = np.where(nearer, ys[idx], ys[idx - 1])
@@ -213,6 +202,131 @@ class KernelFn(SmoothFn):
             "kernel": self.kernel,
             "bandwidth": self.bandwidth,
         }
+
+
+KERNEL_CHUNK = 2**20  # kernel weights held at once: Gaussian rows, Epanechnikov edge windows
+
+
+def _gaussian_sums(x, y, w, h, t):
+    """Numerator and denominator of the Gaussian smoother, a block of kernel
+    matrix rows at a time in one reused buffer."""
+    num = np.empty(t.shape)
+    den = np.empty(t.shape)
+    rows = max(1, KERNEL_CHUNK // x.size)
+    buf = np.empty((min(rows, t.size), x.size))
+    for start in range(0, t.size, rows):
+        tc = t[start : start + rows]
+        kw = buf[: tc.size]
+        np.subtract(x[None, :], tc[:, None], out=kw)
+        with np.errstate(over="ignore"):
+            kw /= h
+            np.square(kw, out=kw)
+        np.minimum(kw, 1e6, out=kw)
+        kw *= -0.5
+        np.exp(kw, out=kw)
+        kw *= w[None, :]
+        den[start : start + rows] = kw.sum(axis=1)
+        num[start : start + rows] = kw @ y
+    return num, den
+
+
+def _window_sums(xs, ys, ws, h, t, lo, hi):
+    """Epanechnikov numerator and denominator of each t from the points of its
+    index window [lo, hi) one by one, rounded as the kernel matrix rounds them."""
+    size = hi - lo
+    q = np.repeat(np.arange(t.size), size)
+    i = np.arange(q.size) + np.repeat(lo - (np.cumsum(size) - size), size)
+    u = (xs[i] - t[q]) / h
+    k = 0.75 * (1.0 - u * u) * ws[i]
+    return np.bincount(q, k * ys[i], t.size), np.bincount(q, k, t.size)
+
+
+def _prefix_length(xs, t, h, holds, edge):
+    """Per t, the length of the prefix of sorted xs on which holds((x - t) / h),
+    a test that switches where x - t crosses edge.  searchsorted brackets the
+    switch to within a few ulps; bisection inside the bracket then applies the
+    test itself, so the offset rounds as the kernel's own does."""
+    with np.errstate(invalid="ignore"):
+        slack = 8.0 * np.finfo(float).eps * (np.abs(t) + h)
+        lo = np.searchsorted(xs, (t + edge) - slack, side="left")
+        hi = np.searchsorted(xs, (t + edge) + slack, side="right")
+    for _ in range(int(np.max(hi - lo, initial=0)).bit_length()):
+        mid = (lo + hi) // 2
+        with np.errstate(over="ignore"):
+            ok = holds((xs[np.minimum(mid, xs.size - 1)] - t) / h)
+        open_ = lo < hi
+        lo, hi = np.where(open_ & ok, mid + 1, lo), np.where(open_ & ~ok, mid, hi)
+    return lo
+
+
+def _epanechnikov_sums(xs, ys, ws, h, t):
+    """Numerator and denominator of the Epanechnikov smoother from running sums
+    over x-sorted data, in O((n + m) log n) time and O(n + m) memory.
+
+    The support of t is the index window of points with |x - t| / h < 1, tested
+    with the rounding of the kernel itself, so points where the kernel is zero
+    fall outside it.  The points are binned into cells of width h, each anchored at its
+    centre a.  A window meets at most three cells (a fourth only by rounding,
+    where the kernel vanishes), and on a cell
+    1 - ((x - t)/h)^2 = (1 - d^2) - 2 d u - u^2 with |u| = |x - a|/h <= 0.5 and
+    |d| = |a - t|/h < 1.5.  So running sums of w u^k and w y u^k, k <= 2, give
+    each window's sums without the cancellation of a global origin, where
+    (t/h)^2 is in the hundreds (Fan & Marron 1994).
+    """
+    n = xs.size
+    lo = _prefix_length(xs, t, h, lambda s: s <= -1.0, -h)
+    hi = _prefix_length(xs, t, h, lambda s: s < 1.0, h)
+    has = np.flatnonzero(hi > lo)
+    lo, hi, tw = lo[has], hi[has], t[has]
+
+    # cells restart after each gap wider than 2h, which no window spans, so a
+    # cell index stays below 2n however small h is
+    run_start = np.concatenate([[True], np.diff(xs) > 2.0 * h])
+    origin = xs[run_start][np.cumsum(run_start) - 1]
+    cell = np.floor((xs - origin) / h)
+    anchor = origin + (cell + 0.5) * h
+    u = (xs - anchor) / h
+    boundary = np.append(run_start, True)
+    boundary[1:-1] |= np.diff(cell) != 0
+    starts = np.flatnonzero(boundary)
+    cell_end = np.append(np.repeat(starts[1:], np.diff(starts)), n)
+
+    terms = np.stack([ws, ws * u, ws * u * u])
+    terms = np.concatenate([terms, terms * ys])
+    # each row splits into multiples of 2^-30 of its largest term, whose running
+    # sums and their differences are exact for fewer than 2^23 points, and a
+    # remainder below half that step: a window's sum keeps its own accuracy
+    # however much weight lies before it
+    step = 2.0 ** (np.frexp(np.max(np.abs(terms), axis=1, initial=0.0))[1] - 30)[:, None]
+    coarse = np.round(terms / step) * step
+    running = np.zeros((n + 1, 12))
+    np.cumsum(np.concatenate([coarse, terms - coarse]).T, axis=0, out=running[1:])
+
+    acc = np.zeros((2, tw.size))
+    weight = np.zeros(tw.size)
+    start = lo
+    for _ in range(3):
+        end = np.minimum(cell_end[start], hi)
+        diff = running[end] - running[start]
+        s = (diff[:, :6] + diff[:, 6:]).T
+        d = (anchor[np.minimum(start, hi - 1)] - tw) / h
+        acc += (1.0 - d * d) * s[0::3] - 2.0 * d * s[1::3] - s[2::3]
+        weight += s[0]
+        start = end
+    num = np.zeros(t.shape)
+    den = np.zeros(t.shape)
+    den[has] = 0.75 * acc[0]
+    num[has] = 0.75 * acc[1]
+    # the sums are accurate to a few ulps of the window's weight, which the
+    # kernel mass matches unless that weight sits at the window's edges; below
+    # 1/64 of it the window is summed point by point, a bounded block at a time
+    edge = acc[0] < weight / 64.0
+    lo, hi, tw, edge = lo[edge], hi[edge], tw[edge], has[edge]
+    rows = max(1, KERNEL_CHUNK // int(np.max(hi - lo, initial=1)))
+    for first in range(0, edge.size, rows):
+        part = slice(first, first + rows)
+        num[edge[part]], den[edge[part]] = _window_sums(xs, ys, ws, h, tw[part], lo[part], hi[part])
+    return num, den
 
 
 @dataclass
@@ -392,8 +506,8 @@ def kernel_smooth(x, y, w=None, kernel: str = "epanechnikov", bandwidth=None) ->
         if bandwidth <= 0:
             # degenerate spread: nearest-point semantics via an infinitesimal window
             bandwidth = 1e-300
-    elif bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+    elif not 0 < bandwidth < np.inf:
+        raise ValueError("bandwidth must be positive and finite")
     return KernelFn(x, y, w, kernel, float(bandwidth))
 
 

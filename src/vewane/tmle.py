@@ -37,6 +37,7 @@ from .sieve import (
 from .smoothing import (
     BSplineBasis,
     SmoothFn,
+    SplineFn,
     kernel_smooth,
     silverman_bandwidth,
     weighted_spline_smooth,
@@ -50,12 +51,10 @@ FLUCTUATION_MAX_ITER = 60
 
 @dataclass
 class TmleNuisance:
-    """Final targeted state: alpha fit, r estimates, clever covariates, probabilities."""
+    """What `eic_values` needs of the targeted fit: the efficient score rows and
+    information, and the class codes that pair the fit with its dataset."""
 
     alpha_fn: SmoothFn
-    r_fns: list  # per strain: list of d SmoothFn components
-    H: np.ndarray  # (n, D) stacked clever covariates
-    q_final: np.ndarray  # (n, m) targeted class probabilities
     score_rows: np.ndarray  # (n, D) efficient score at the targeted fit
     info_eff: np.ndarray  # (D, D) derivation-form efficient information
     y: np.ndarray  # class codes, used to check fit/dataset pairing
@@ -65,9 +64,6 @@ class TmleNuisance:
         return {
             "tmle_nuisance": True,
             "alpha": self.alpha_fn.to_dict(),
-            "r_fns": [[r.to_dict() for r in block] for block in self.r_fns],
-            "H": self.H.tolist(),
-            "q_final": self.q_final.tolist(),
             "score_rows": self.score_rows.tolist(),
             "info_eff": self.info_eff.tolist(),
             "y": self.y.tolist(),
@@ -76,13 +72,11 @@ class TmleNuisance:
 
     @staticmethod
     def from_dict(d: dict) -> "TmleNuisance":
+        """Also reads older fits, whose r_fns, H and q_final entries it skips."""
         from .smoothing import smooth_fn_from_dict
 
         return TmleNuisance(
             alpha_fn=smooth_fn_from_dict(d["alpha"]),
-            r_fns=[[smooth_fn_from_dict(r) for r in block] for block in d["r_fns"]],
-            H=np.asarray(d["H"]),
-            q_final=np.asarray(d["q_final"]),
             score_rows=np.asarray(d["score_rows"]),
             info_eff=np.asarray(d["info_eff"]),
             y=np.asarray(d["y"]),
@@ -176,6 +170,26 @@ def _efficient_scores(design: SieveDesign, Q: np.ndarray, r_vals: list[np.ndarra
     return S, info / n
 
 
+def _smoother_facts(smoother, kernel, bandwidth, r_fns, alpha_fn) -> dict:
+    """The nuisance smoothers of the last targeting iteration: the kernel and its
+    bandwidth, or per r component (in beta order) the spline's interior-knot
+    count, GCV lambda and mean fallback; the same for a spline alpha."""
+
+    def spline(fn):
+        if not isinstance(fn, SplineFn):
+            return None
+        lam = None if fn.gcv_lambda is None else float(fn.gcv_lambda)
+        return {"knots": len(fn.basis.interior_knots), "gcv_lambda": lam, "fallback": bool(fn.fallback)}
+
+    facts = {"kind": smoother}
+    if smoother == "kernel":
+        facts.update(kernel=kernel, bandwidth=float(bandwidth))
+    else:
+        facts["r"] = [spline(fn) for block in r_fns for fn in block]
+    facts["alpha"] = spline(alpha_fn)
+    return facts
+
+
 def _tmle_engine(
     design: SieveDesign,
     theta0: np.ndarray,
@@ -246,7 +260,7 @@ def _tmle_engine(
 
         if eps_norm < tol:
             converged = True
-            Q_final, r_vals_final, r_fns_final, H_final = q_star, r_vals, r_fns, H_blocks
+            Q_final, r_vals_final, r_fns_final = q_star, r_vals, r_fns
             break
 
         if update_alpha:
@@ -263,10 +277,9 @@ def _tmle_engine(
             alpha_fn = fn
             c_vec = fn(T)
         eta = predictors()
-        Q_final, r_vals_final, r_fns_final, H_final = q_star, r_vals, r_fns, H_blocks
+        Q_final, r_vals_final, r_fns_final = q_star, r_vals, r_fns
 
     S, info = _efficient_scores(design, Q_final, r_vals_final)
-    H_stacked = np.hstack(H_final)
     info_free = info[np.ix_(free, free)]
     if info_free.size and np.linalg.cond(info_free) > 1e12:
         raise NonIdentifiableError("singular efficient information")
@@ -282,12 +295,10 @@ def _tmle_engine(
         "beta": np.concatenate(betas) if betas else np.zeros(0),
         "beta_cov": beta_cov,
         "eic": eic,
-        "H": H_stacked,
-        "q_final": Q_final,
         "score_rows": S,
         "info_eff": info,
         "free": free,
-        "r_fns": r_fns_final,
+        "smoother": _smoother_facts(smoother, kernel, bandwidth, r_fns_final, alpha_fn),
         "alpha_fn": alpha_fn,
         "iterations": iterations,
         "loglik": loglik,
@@ -311,12 +322,10 @@ def _finish_fit(design, engine, init_iterations, tol):
         "truncated_fraction_max": engine["truncated_rows_max"] / design.n_rows,
         "eic_abs_mean_max": float(np.max(np.abs(eic_free.mean(axis=0)))) if eic_free.size else 0.0,
         "init_iterations": init_iterations,
+        "smoother": engine["smoother"],
     }
     nuis = TmleNuisance(
         alpha_fn=engine["alpha_fn"],
-        r_fns=engine["r_fns"],
-        H=engine["H"],
-        q_final=engine["q_final"],
         score_rows=engine["score_rows"],
         info_eff=engine["info_eff"],
         y=design.y,

@@ -143,3 +143,38 @@ def cox_derivs_scan(dataset, basis, beta):
         grad -= ties * xbar
         hess -= ties * (xxw - np.outer(xbar, xbar))
     return ll, grad, hess
+
+
+def kernel_smooth_dense(x, y, w, kernel, h, t):
+    """Nadaraya-Watson smoother from the full (n_eval x n_data) kernel matrix;
+    where no data point has kernel weight, the y of the nearest point."""
+    x, y, w = (np.asarray(a, dtype=float) for a in (x, y, w))
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    kw = np.subtract(x[None, :], t[:, None])
+    with np.errstate(over="ignore"):
+        kw /= h
+        if kernel == "epanechnikov":
+            np.abs(kw, out=kw)
+            outside = ~(kw <= 1.0)  # NaN too
+            np.minimum(kw, 1.0, out=kw)
+            np.square(kw, out=kw)
+            np.subtract(1.0, kw, out=kw)
+            kw *= 0.75
+            kw[outside] = 0.0
+        else:
+            np.square(kw, out=kw)
+            np.minimum(kw, 1e6, out=kw)
+            kw *= -0.5
+            np.exp(kw, out=kw)
+    kw *= w[None, :]
+    den = kw.sum(axis=1)
+    num = kw @ y
+    out = np.divide(num, den, out=np.zeros_like(den), where=den > 0)
+    dead = den <= 0
+    if np.any(dead):
+        order = np.argsort(x)
+        xs, ys = x[order], y[order]
+        idx = np.clip(np.searchsorted(xs, t[dead]), 1, len(xs) - 1)
+        nearer = np.abs(xs[idx] - t[dead]) < np.abs(xs[idx - 1] - t[dead])
+        out[dead] = np.where(nearer, ys[idx], ys[idx - 1])
+    return out

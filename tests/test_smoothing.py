@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vewane.smoothing import (
     BSplineBasis,
+    KernelFn,
     SplineFn,
     bspline_eval,
     kernel_smooth,
@@ -14,7 +17,7 @@ from vewane.smoothing import (
     weighted_spline_smooth,
 )
 
-from .oracles import isotonic_by_partition, naive_bspline_row
+from .oracles import isotonic_by_partition, kernel_smooth_dense, max_rel_err, naive_bspline_row
 
 
 class TestBSpline:
@@ -152,8 +155,9 @@ class TestKernelSmooth:
         assert fn([0.5])[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_bandwidth_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_smooth([0.0, 1.0], [0.0, 1.0], bandwidth=0.0)
+        for bandwidth in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                kernel_smooth([0.0, 1.0], [0.0, 1.0], bandwidth=bandwidth)
 
     def test_silverman_formula(self, rng):
         x = rng.normal(0, 1, 400)
@@ -166,6 +170,88 @@ class TestKernelSmooth:
         fn = kernel_smooth([0.0, 0.1, 1.0], [5.0, 7.0, 9.0], kernel="epanechnikov", bandwidth=0.05)
         assert fn([0.5])[0] == pytest.approx(7.0)  # nearest supported point
         assert fn([2.0])[0] == pytest.approx(9.0)
+
+    @pytest.mark.parametrize("kernel", ["epanechnikov", "gaussian"])
+    def test_matches_dense_oracle(self, kernel):
+        rng = np.random.default_rng(11)
+        # half the points on a 1/64 grid: ties, and with dyadic bandwidths
+        # evaluation points exactly at |x - t| = h
+        x = np.concatenate([np.round(rng.uniform(0, 1, 150) * 64) / 64, rng.uniform(0, 1, 150)])
+        y = rng.normal(0, 1, 300)
+        w = rng.uniform(0.05, 2.0, 300)
+        w[rng.uniform(size=300) < 0.2] = 0.0
+        # far from the origin (t/h up to 128), and a sparse tail weighing 1e-6
+        # per point after a cluster weighing 2000
+        tail = np.concatenate([rng.uniform(0, 0.5, 2000), rng.uniform(0.5, 1, 20)])
+        datasets = [
+            (x, y, w),
+            (x + 3.0, y, w),
+            (tail, rng.normal(0, 1, 2020), np.concatenate([np.ones(2000), np.full(20, 1e-6)])),
+        ]
+        for x, y, w in datasets:
+            for h in (1 / 32, 1 / 8, 0.05, 2.0):
+                t = np.concatenate(
+                    [
+                        np.linspace(x.min() - 0.2, x.max() + 0.2, 57),
+                        x,
+                        x[:150] + h,
+                        x[:150] - h,
+                        [np.nan, np.inf, -np.inf, 7.5, -3.0],
+                    ]
+                )
+                got = KernelFn(x, y, w, kernel, h)(t)
+                want = kernel_smooth_dense(x, y, w, kernel, h, t)
+                assert np.all(np.isfinite(got)) and np.all(np.isfinite(want))
+                assert max_rel_err(got, want) < 1e-12, h
+
+    def test_window_of_edge_points_takes_nearest_point(self):
+        x = np.array([0.0, 0.25, 0.75, 1.0])
+        y = np.array([1.0, 2.0, 3.0, 4.0])
+        w = np.ones(4)
+        # both neighbours of 0.5 sit exactly on the window's edge: no kernel mass
+        fn = kernel_smooth(x, y, w, bandwidth=0.25)
+        assert fn([0.5])[0] == 2.0 == kernel_smooth_dense(x, y, w, "epanechnikov", 0.25, [0.5])[0]
+        # one ulp wider, both carry the same rounding-level mass
+        h = np.nextafter(0.25, 1.0)
+        fn = kernel_smooth(x, y, w, bandwidth=h)
+        assert fn([0.5])[0] == pytest.approx(2.5, abs=1e-12)
+        assert max_rel_err(fn([0.5, 0.125]), kernel_smooth_dense(x, y, w, "epanechnikov", h, [0.5, 0.125])) < 1e-12
+        # the points sit at fl(t - h) and fl(t + h), which the kernel's own
+        # rounding puts just inside the window
+        t, h = 0.6369616873214543, 0.08823814699152238
+        x = np.array([0.548723540329932, 0.7251998343129766])
+        fn = kernel_smooth(x, y[:2], w[:2], bandwidth=h)
+        want = kernel_smooth_dense(x, y[:2], w[:2], "epanechnikov", h, [t])
+        assert 1.0 < want[0] < 2.0 and max_rel_err(fn([t]), want) < 1e-12
+
+    @pytest.mark.parametrize("kernel", ["epanechnikov", "gaussian"])
+    def test_degenerate_bandwidth(self, kernel):
+        # zero weighted spread gives the infinitesimal window of 1e-300
+        cases = [
+            (np.full(6, 0.3), np.arange(6.0), np.ones(6)),
+            (np.array([0.0, 0.5, 0.5, 1.0, 2.0]), np.arange(5.0), np.array([0.0, 1.0, 1.0, 0.0, 0.0])),
+        ]
+        for x, y, w in cases:
+            fn = kernel_smooth(x, y, w, kernel=kernel)
+            assert fn.bandwidth == 1e-300
+            t = np.concatenate([x, [0.25, 0.3, np.nextafter(0.5, 1.0), 5.0, np.nan]])
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                got = fn(t)
+            assert max_rel_err(got, kernel_smooth_dense(x, y, w, kernel, 1e-300, t)) < 1e-12
+
+    def test_gaussian_memory_bounded(self):
+        rng = np.random.default_rng(5)
+        n = 20_000
+        x = rng.uniform(0, 1, n)
+        fn = kernel_smooth(x, rng.normal(0, 1, n), rng.uniform(0.1, 1.0, n), kernel="gaussian", bandwidth=0.05)
+        tracemalloc.start()
+        try:
+            vals = fn(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(vals))
+        assert peak < 64 * 2**20  # the dense (m x n) matrix would take 3.2 GB
 
     def test_permutation_invariance(self, rng):
         x = rng.uniform(0, 1, 80)

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
-from vewane.core import Cause, EventRecord, VEBasisSpec, VewaneError, validate_dataset
+from vewane.core import Cause, EventRecord, FitResult, VEBasisSpec, VewaneError, validate_dataset
 from vewane.sieve import default_alpha_basis, fit_sieve_binary
 from vewane.simulate import ScenarioSpec, simulate_cohort
-from vewane.smoothing import bspline_eval
+from vewane.smoothing import KernelFn, bspline_eval
 from vewane.surveillance import VariantMix
 from vewane.tmle import (
     clever_covariate,
@@ -15,8 +17,10 @@ from vewane.tmle import (
 )
 
 from .conftest import make_records
+from .oracles import kernel_smooth_dense
 
 LINEAR = VEBasisSpec("linear")
+RAMP = VEBasisSpec("ramp", ramp_length=14 / 365)
 
 
 class TestEstimateR:
@@ -86,12 +90,22 @@ class TestFitTmleBinary:
         assert tmle.diagnostics["converged"]
         assert tmle.diagnostics["iterations"] == 1
         assert np.allclose(tmle.beta, sieve.beta, atol=1e-6)
+        facts = tmle.diagnostics["smoother"]
+        assert facts["kind"] == "pspline"
+        assert len(facts["r"]) == LINEAR.dimension
+        for spline in facts["r"] + [facts["alpha"]]:
+            assert spline["knots"] >= 1 and spline["fallback"] is False
+        assert all(r["gcv_lambda"] > 0 for r in facts["r"])
+        assert json.loads(json.dumps(tmle.to_dict()))["diagnostics"]["smoother"] == facts
 
     def test_kernel_smoother_converges(self, small_cohort):
         _, ds, _ = small_cohort
         tmle = fit_tmle_binary(ds, LINEAR, smoother="kernel")
         assert tmle.diagnostics["converged"]
         assert tmle.diagnostics["eic_abs_mean_max"] < 1e-5
+        facts = tmle.diagnostics["smoother"]
+        assert facts["kind"] == "kernel" and facts["kernel"] == "epanechnikov"
+        assert facts["bandwidth"] > 0 and "r" not in facts
         sieve = fit_sieve_binary(ds, LINEAR)
         assert np.allclose(tmle.beta, sieve.beta, atol=0.1)
 
@@ -104,6 +118,37 @@ class TestFitTmleBinary:
         centered = eic - eic.mean(axis=0)
         want = centered.T @ centered / n**2
         assert np.allclose(want, fit.beta_cov, atol=1e-10)
+
+    def test_kernel_fit_matches_dense_smoother(self, monkeypatch):
+        ds, _ = simulate_cohort(ScenarioSpec(n=10_000, ve_basis=RAMP, beta_true=(-0.3, -1.0, 1.0), seed=7))
+        fast = fit_tmle_binary(ds, RAMP, smoother="kernel")
+
+        def dense(fn, t):
+            return kernel_smooth_dense(fn.x, fn.y, fn.w, fn.kernel, fn.bandwidth, t)
+
+        monkeypatch.setattr(KernelFn, "_eval", dense)
+        slow = fit_tmle_binary(ds, RAMP, smoother="kernel")
+        assert fast.diagnostics["converged"] and slow.diagnostics["converged"]
+        assert fast.diagnostics["iterations"] == slow.diagnostics["iterations"]
+        assert np.max(np.abs(fast.beta - slow.beta)) < 1e-10
+        assert np.max(np.abs(fast.beta_cov - slow.beta_cov)) < 1e-10
+
+    def test_eic_values_reads_older_fit_json(self, small_cohort):
+        # older fits also stored r_fns, the clever covariates H and q_final
+        _, ds, _ = small_cohort
+        fit = fit_tmle_binary(ds, LINEAR)
+        old = json.loads(json.dumps(fit.to_dict()))
+        n, d = fit.nuisance.score_rows.shape
+        old["nuisance"].update(
+            r_fns=[[{"smooth_fn": "constant", "value": 0.25}] * d],
+            H=np.ones((n, d)).tolist(),
+            q_final=np.full((n, 1), 0.5).tolist(),
+        )
+        new = json.loads(json.dumps(fit.to_dict()))
+        assert sorted(new["nuisance"]) == ["alpha", "free", "info_eff", "score_rows", "tmle_nuisance", "y"]
+        want = eic_values(FitResult.from_dict(new), ds)
+        assert np.array_equal(eic_values(FitResult.from_dict(old), ds), want)
+        assert np.array_equal(eic_values(fit, ds), want)
 
     def test_eic_requires_matching_dataset(self, small_cohort):
         _, ds, _ = small_cohort
