@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .core import (
     Cause,
     Dataset,
-    EventRecord,
     FitResult,
     VEBasisSpec,
     eval_ve_basis,
@@ -47,6 +46,6 @@ from .surveillance import (
     sensitivity_offset,
     tt1_offset,
 )
-from .tmle import clever_covariate, eic_values, estimate_r, fit_tmle_binary, fit_tmle_multinomial
+from .tmle import eic_values, estimate_r, fit_tmle_binary, fit_tmle_multinomial
 
 __all__ = [name for name in dir() if not name.startswith("_")]

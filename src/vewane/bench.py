@@ -278,28 +278,23 @@ _HEADER = [
 ]
 
 
-def emit_tables(results: list[BenchResult], out_dir, formats=("csv", "markdown")) -> list[str]:
-    """One row per (scenario, estimator), deterministic ordering."""
+def emit_tables(results: list[BenchResult], out_dir) -> list[str]:
+    """results.csv and results.md, one row per (scenario, estimator), deterministic ordering."""
     import os
 
     os.makedirs(out_dir, exist_ok=True)
     ordered = sorted(results, key=lambda r: (r.scenario, r.estimator))
-    written = []
-    if "csv" in formats:
-        path = os.path.join(out_dir, "results.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(_HEADER)
-            for r in ordered:
-                w.writerow([format(v, ".10g") if isinstance(v, float) else v for v in r.row()])
-        written.append(path)
-    if "markdown" in formats:
-        path = os.path.join(out_dir, "results.md")
-        with open(path, "w") as fh:
-            fh.write("| " + " | ".join(_HEADER) + " |\n")
-            fh.write("|" + "---|" * len(_HEADER) + "\n")
-            for r in ordered:
-                cells = [format(v, ".10g") if isinstance(v, float) else str(v) for v in r.row()]
-                fh.write("| " + " | ".join(cells) + " |\n")
-        written.append(path)
-    return written
+    csv_path = os.path.join(out_dir, "results.csv")
+    with open(csv_path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(_HEADER)
+        for r in ordered:
+            w.writerow([format(v, ".10g") if isinstance(v, float) else v for v in r.row()])
+    md_path = os.path.join(out_dir, "results.md")
+    with open(md_path, "w") as fh:
+        fh.write("| " + " | ".join(_HEADER) + " |\n")
+        fh.write("|" + "---|" * len(_HEADER) + "\n")
+        for r in ordered:
+            cells = [format(v, ".10g") if isinstance(v, float) else str(v) for v in r.row()]
+            fh.write("| " + " | ".join(cells) + " |\n")
+    return [csv_path, md_path]

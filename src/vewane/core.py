@@ -5,13 +5,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
-
-UNVACCINATED = None  # semantic sentinel: vaccination never happens (V = +inf)
 
 
 class VewaneError(Exception):
@@ -45,22 +43,6 @@ class Cause(Enum):
 
 
 _CAUSE_CODE = {Cause.CENSORED: -1, Cause.IRRELEVANT: 0, Cause.PREVENTABLE: 1}
-_CODE_CAUSE = {v: k for k, v in _CAUSE_CODE.items()}
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    """One participant: vaccination date (None = never vaccinated), first-event time and cause.
-
-    `strain` labels the infecting strain (1..m) and is only meaningful for
-    preventable events when strains are modeled.
-    """
-
-    id: str
-    vax_time: float | None
-    event_time: float
-    cause: Cause
-    strain: int | None = None
 
 
 @dataclass(frozen=True)
@@ -164,83 +146,43 @@ def ve_from_f(f):
 
 
 class Dataset:
-    """Validated cohort of first-event records on a common calendar scale.
+    """Validated cohort of first events on a common calendar scale, held as
+    columns (`arrays()`) beside the list of participant ids."""
 
-    Held as columns (`arrays()`) plus an id list; `records`, one EventRecord
-    per participant, is built from the columns on first use, and the columns
-    from the records when only records are given.
-    """
-
-    def __init__(self, records, horizon: float, time_unit: str = "years", *, ids=None, columns=None):
-        self._records = None if records is None else list(records)
-        self._ids = ids
+    def __init__(self, ids: Sequence[str], columns: dict, horizon: float, time_unit: str = "years"):
+        self.ids = ids
         self._arrays = columns
         self.horizon = horizon
         self.time_unit = time_unit
 
     def __len__(self) -> int:
-        return len(self._records) if self._records is not None else len(self._ids)
+        return len(self.ids)
 
     def __repr__(self) -> str:
         return f"Dataset(n={len(self)}, horizon={self.horizon!r}, time_unit={self.time_unit!r})"
 
     def arrays(self) -> dict:
-        """Columnar view: vax (nan = unvaccinated), time, cause code (-1/0/1), strain (0 = none)."""
-        if self._arrays is None:
-            self._arrays = _record_columns(self._records)[0]
+        """Columns: vax (nan = unvaccinated), time, cause code (-1/0/1), strain (0 = none)."""
         return self._arrays
 
-    @property
-    def ids(self) -> Sequence[str]:
-        if self._ids is None:
-            self._ids = [r.id for r in self._records]
-        return self._ids
 
-    @property
-    def records(self) -> list[EventRecord]:
-        if self._records is None:
-            a = self._arrays
-            self._records = [
-                EventRecord(i, None if math.isnan(v) else v, t, _CODE_CAUSE[c], s or None)
-                for i, v, t, c, s in zip(
-                    self._ids, a["vax"].tolist(), a["time"].tolist(), a["cause"].tolist(), a["strain"].tolist()
-                )
-            ]
-        return self._records
-
-
-def _record_columns(records: Sequence[EventRecord]):
-    """(columns, vax given, strain given) of a record sequence."""
-
-    def column(values, dtype):
-        return np.fromiter(values, dtype=dtype, count=len(records))
-
-    columns = {
-        "vax": column((np.nan if r.vax_time is None else r.vax_time for r in records), float),
-        "time": column((r.event_time for r in records), float),
-        "cause": column((_CAUSE_CODE[r.cause] for r in records), np.int64),
-        "strain": column((r.strain or 0 for r in records), np.int64),
+def _as_columns(columns: Mapping):
+    """(ids, columns) of an id-plus-columns mapping, the columns as numpy arrays."""
+    if not isinstance(columns, Mapping):
+        raise TypeError(
+            f"expected a mapping of columns (id, vax, time, cause, optional strain), got {type(columns).__name__}"
+        )
+    ids = columns["id"]
+    arrays = {
+        "vax": np.asarray(columns["vax"], dtype=float),
+        "time": np.asarray(columns["time"], dtype=float),
+        "cause": np.asarray(columns["cause"], dtype=np.int64),
+        "strain": np.asarray(columns.get("strain", np.zeros(len(ids))), dtype=np.int64),
     }
-    vax_given = column((r.vax_time is not None for r in records), bool)
-    strain_given = column((r.strain is not None for r in records), bool)
-    return columns, vax_given, strain_given
+    return ids, arrays
 
 
-def _as_columns(records):
-    """(ids, columns, vax given, strain given) of records or of an id-plus-columns dict."""
-    if not isinstance(records, dict):
-        return ([r.id for r in records], *_record_columns(records))
-    ids = records["id"]
-    columns = {
-        "vax": np.asarray(records["vax"], dtype=float),
-        "time": np.asarray(records["time"], dtype=float),
-        "cause": np.asarray(records["cause"], dtype=np.int64),
-        "strain": np.asarray(records.get("strain", np.zeros(len(ids))), dtype=np.int64),
-    }
-    return ids, columns, ~np.isnan(columns["vax"]), columns["strain"] != 0
-
-
-def _violations(ids, columns, vax_given, strain_given, horizon: float) -> list[Violation]:
+def _violations(ids, columns, horizon: float) -> list[Violation]:
     found = []  # (index, field order, field, reason)
     if len(set(ids)) < len(ids):
         seen: set = set()
@@ -253,8 +195,8 @@ def _violations(ids, columns, vax_given, strain_given, horizon: float) -> list[V
     checks = [
         (bad_time, 1, "event_time", "negative event_time"),
         (~bad_time & (time > horizon), 1, "event_time", "event_time exceeds horizon"),
-        (vax_given & (~np.isfinite(vax) | (vax < 0)), 2, "vax_time", "negative vax_time"),
-        (strain_given & (columns["cause"] != 1), 3, "strain", "strain on non-preventable cause"),
+        (np.isinf(vax) | (vax < 0), 2, "vax_time", "negative vax_time"),
+        ((columns["strain"] != 0) & (columns["cause"] != 1), 3, "strain", "strain on non-preventable cause"),
         (~np.isin(columns["cause"], (-1, 0, 1)), 4, "cause", "unknown cause code"),
     ]
     for mask, order, name, reason in checks:
@@ -262,28 +204,24 @@ def _violations(ids, columns, vax_given, strain_given, horizon: float) -> list[V
     return [Violation(i, name, reason) for i, _, name, reason in sorted(found)]
 
 
-def check_records(records, horizon: float) -> list[Violation]:
+def check_records(columns: Mapping, horizon: float) -> list[Violation]:
     """All invariant violations, one entry per offending field.
 
-    `records` is a sequence of EventRecord or a dict of columns: "id" (list of
-    str), "vax" (nan = unvaccinated), "time", "cause" (code -1/0/1) and an
-    optional "strain" (0 = none), as returned by `Dataset.arrays()`.
+    `columns` maps "id" (list of str), "vax" (nan = unvaccinated), "time",
+    "cause" (code -1/0/1) and an optional "strain" (0 = none), the form
+    `Dataset.arrays()` returns plus "id".
     """
-    return _violations(*_as_columns(records), horizon)
+    return _violations(*_as_columns(columns), horizon)
 
 
-def validate_dataset(records, horizon: float, time_unit: str = "years") -> Dataset:
-    """Build a Dataset, raising DatasetValidationError (with the violation list) when invalid.
-
-    `records` is a sequence of EventRecord or a dict of columns (see `check_records`).
-    """
-    ids, columns, vax_given, strain_given = _as_columns(records)
-    violations = _violations(ids, columns, vax_given, strain_given, horizon)
+def validate_dataset(columns: Mapping, horizon: float, time_unit: str = "years") -> Dataset:
+    """Build a Dataset from columns (see `check_records`), raising
+    DatasetValidationError (with the violation list) when invalid."""
+    ids, arrays = _as_columns(columns)
+    violations = _violations(ids, arrays, horizon)
     if violations:
         raise DatasetValidationError(violations)
-    if isinstance(records, dict):
-        return Dataset(None, horizon, time_unit, ids=ids, columns=columns)
-    return Dataset(records, horizon, time_unit, columns=columns)
+    return Dataset(ids, arrays, horizon, time_unit)
 
 
 def convert_to_years(dataset: Dataset, days_per_year: float = 365.0) -> Dataset:
@@ -292,7 +230,7 @@ def convert_to_years(dataset: Dataset, days_per_year: float = 365.0) -> Dataset:
         return dataset
     a = dataset.arrays()
     columns = dict(a, vax=a["vax"] / days_per_year, time=a["time"] / days_per_year)
-    return Dataset(None, dataset.horizon / days_per_year, "years", ids=dataset.ids, columns=columns)
+    return Dataset(dataset.ids, columns, dataset.horizon / days_per_year, "years")
 
 
 # -- events CSV (header: id,vax_time,event_time,cause,strain) --

@@ -59,8 +59,6 @@ class SieveDesign:
     X_alpha: np.ndarray  # spline columns, a lone intercept column, or empty
     offsets: np.ndarray  # (n, m) fixed per-class offsets
     T: np.ndarray
-    tau: np.ndarray
-    Z: np.ndarray
     ve_basis: VEBasisSpec | list[VEBasisSpec] | None
     alpha: BSplineBasis | FixedOffset
     strains: list[int] | None
@@ -182,8 +180,6 @@ def build_design(
         X_alpha=X_alpha,
         offsets=offsets,
         T=T,
-        tau=tau,
-        Z=Z,
         ve_basis=ve_basis if mixture is None else bases,
         alpha=alpha,
         strains=strains,

@@ -284,23 +284,17 @@ def _truth(scenario: ScenarioSpec) -> dict:
     }
 
 
-def simulate_cohort(scenario: ScenarioSpec, endpoint: str = "first-event") -> tuple[Dataset, dict]:
+def simulate_cohort(scenario: ScenarioSpec) -> tuple[Dataset, dict]:
     """One cohort plus its ground-truth sidecar; byte-identical for a fixed seed.
 
-    endpoint "first-event" records the earlier of the two infections (censored
-    at the horizon); "preventable-followup" records the preventable event time
-    with administrative censoring only, the view a comparator that ignores
-    vaccine-irrelevant infections would analyze.
+    Each participant's first event is the earlier of the two infections,
+    censored at the horizon. `simulate_cohort_views` also gives the
+    preventable-endpoint view that a comparator ignoring vaccine-irrelevant
+    infections analyzes.
     """
     latent, t0, t1 = _draw_cause_times(scenario)
-    ids = _participant_ids(scenario.n)
-    if endpoint == "first-event":
-        columns = _first_event_columns(scenario, latent, t0, t1, ids)
-    elif endpoint == "preventable-followup":
-        columns = _preventable_followup_columns(scenario, latent, t1, ids)
-    else:
-        raise ValueError(f"unknown endpoint {endpoint!r}")
-    return validate_dataset(columns, scenario.horizon), dict(_truth(scenario), endpoint=endpoint)
+    columns = _first_event_columns(scenario, latent, t0, t1, _participant_ids(scenario.n))
+    return validate_dataset(columns, scenario.horizon), dict(_truth(scenario), endpoint="first-event")
 
 
 def simulate_cohort_views(scenario: ScenarioSpec) -> tuple[Dataset, Dataset, dict]:

@@ -170,4 +170,4 @@ def impute_strains(dataset: Dataset, mix: VariantMix, seed: int) -> Dataset:
     k = (cum[mix._bin_index(a["time"][rows])] <= u[rows, None]).sum(axis=1)
     strain = a["strain"].copy()
     strain[rows] = np.asarray(mix.strains)[np.minimum(k, len(mix.strains) - 1)]
-    return Dataset(None, dataset.horizon, dataset.time_unit, ids=dataset.ids, columns=dict(a, strain=strain))
+    return Dataset(dataset.ids, dict(a, strain=strain), dataset.horizon, dataset.time_unit)

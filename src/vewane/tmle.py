@@ -113,14 +113,6 @@ def estimate_r(
     return fns
 
 
-def clever_covariate(z_psi, T, r_fns) -> np.ndarray:
-    """H = Z(T) psi(T-V) - r(T), rowwise."""
-    z_psi = np.atleast_2d(np.asarray(z_psi, dtype=float))
-    T = np.atleast_1d(np.asarray(T, dtype=float))
-    r_vals = np.column_stack([fn(T) for fn in r_fns])
-    return z_psi - r_vals
-
-
 def _fluctuation_fit(eta: np.ndarray, H_blocks: list[np.ndarray], y: np.ndarray, free: np.ndarray):
     """Offset (multinomial) logistic regression of the class labels on the clever
     covariates, with the current predictors as offsets; returns the stacked
@@ -202,7 +194,6 @@ def _tmle_engine(
     delta: float,
     update_alpha: bool,
     alpha_fn0: SmoothFn,
-    n_knots_r=None,
 ):
     m = design.n_classes
     dims = design.d_blocks
@@ -244,7 +235,7 @@ def _tmle_engine(
         for k in range(m):
             scale = (Q[:, k] * (1.0 - qtot)) * ratio
             vals = design.X_ve[k] * scale[:, None]
-            fns = estimate_r(T, vals, b, smoother, kernel, bandwidth, n_knots_r)
+            fns = estimate_r(T, vals, b, smoother, kernel, bandwidth)
             rv = np.column_stack([fn(T) for fn in fns])
             r_fns.append(fns)
             r_vals.append(rv)

@@ -37,7 +37,7 @@ from vewane.smoothing import BSplineBasis, bspline_eval, pava_isotonic
 from vewane.surveillance import SurveillanceSeries, sda_tt2_offset, tt1_offset
 from vewane.tmle import eic_values, fit_tmle_binary
 
-from .conftest import workers
+from .conftest import dataset_rows, event_times, workers
 from .oracles import finite_diff_gradient, finite_diff_jacobian, isotonic_by_partition, max_rel_err
 from .test_multinomial_mc import simulate_two_strain, MIX as TWO_STRAIN_MIX
 
@@ -163,7 +163,7 @@ def _ispl_log_product(fit, dataset):
     """The individually-stratified partial likelihood, written from its formula."""
     total = 0.0
     alpha_fn = fit.nuisance
-    for r in dataset.records:
+    for r in dataset_rows(dataset):
         if r.cause is Cause.CENSORED:
             continue
         z = r.vax_time is not None and r.vax_time <= r.event_time
@@ -178,7 +178,7 @@ def _profiled_full_loglik(dataset, knots, boundary, theta):
     """Full-data likelihood with per-individual scalar baseline-hazard nuisances,
     each profiled out numerically by golden-section search on the log scale."""
     basis = BSplineBasis(3, knots, boundary)
-    rows = [r for r in dataset.records if r.cause is not Cause.CENSORED]
+    rows = [r for r in dataset_rows(dataset) if r.cause is not Cause.CENSORED]
     T = np.array([r.event_time for r in rows])
     z = np.array([r.vax_time is not None and r.vax_time <= r.event_time for r in rows])
     tau = np.array([r.event_time - r.vax_time if zz else 0.0 for r, zz in zip(rows, z)])
@@ -216,9 +216,7 @@ class TestCriterion4LikelihoodEquivalence:
         worst_beta = 0.0
         for k in range(50):
             ds = _small_event_heavy_dataset(substream_seed(ACCEPT_SEED + 4, k))
-            events = np.array(
-                [r.event_time for r in ds.records if r.cause is not Cause.CENSORED]
-            )
+            events = event_times(ds)
             boundary = (float(events.min()), float(events.max()))
             knots = (float(np.median(events)),)
             basis = BSplineBasis(3, knots, boundary)
@@ -252,10 +250,7 @@ class TestCriterion5Derivatives:
         for k in range(34):  # binary sieve
             ds = _small_event_heavy_dataset(substream_seed(ACCEPT_SEED + 50, k))
             design = build_design(
-                ds, LINEAR, default_alpha_basis(
-                    np.array([r.event_time for r in ds.records if r.cause is not Cause.CENSORED]),
-                    knots=2,
-                ),
+                ds, LINEAR, default_alpha_basis(event_times(ds), knots=2),
             )
             theta = rng.normal(0, 0.3, design.n_params)
             _, grad, hess = loglik_derivs(design, theta)
@@ -264,9 +259,10 @@ class TestCriterion5Derivatives:
             worst = max(worst, max_rel_err(grad, fd_g), max_rel_err(hess, (fd_h + fd_h.T) / 2))
         for k in range(33):  # multinomial sieve
             ds = simulate_two_strain(substream_seed(ACCEPT_SEED + 51, k))
-            sub = validate_dataset(ds.records[:1200], ds.horizon)
-            events = np.array([r.event_time for r in sub.records if r.cause is not Cause.CENSORED])
-            design = build_design(sub, LINEAR, default_alpha_basis(events, knots=2), mixture=TWO_STRAIN_MIX)
+            head = {name: column[:1200] for name, column in ds.arrays().items()}
+            sub = validate_dataset(dict(head, id=ds.ids[:1200]), ds.horizon)
+            alpha = default_alpha_basis(event_times(sub), knots=2)
+            design = build_design(sub, LINEAR, alpha, mixture=TWO_STRAIN_MIX)
             theta = rng.normal(0, 0.3, design.n_params)
             _, grad, hess = loglik_derivs(design, theta)
             fd_g = finite_diff_gradient(lambda t: loglik_derivs(design, t)[0], theta)

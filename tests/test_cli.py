@@ -9,6 +9,8 @@ from vewane.report import read_curve
 from vewane.simulate import ScenarioSpec
 from vewane.surveillance import save_offset, tt1_offset, SurveillanceSeries
 
+from .conftest import dataset_rows
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -98,7 +100,7 @@ class TestFit:
         with open(path, "w", newline="") as fh:
             w = _csv.writer(fh)
             w.writerow(["id", "vax_time", "event_time", "cause", "strain"])
-            for r in events.records:
+            for r in dataset_rows(events):
                 w.writerow([r.id, "" if r.vax_time is None else r.vax_time * 365,
                             r.event_time * 365, r.cause.value, ""])
         out = tmp_path / "fit_days.json"

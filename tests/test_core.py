@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from vewane.core import (
     Cause,
     DatasetValidationError,
-    EventRecord,
     VEBasisSpec,
     Violation,
     check_records,
@@ -19,6 +18,8 @@ from vewane.core import (
     ve_from_f,
     write_events_csv,
 )
+
+from .conftest import Row, dataset_rows, make_records
 
 RAMP = VEBasisSpec("ramp", ramp_length=14 / 365)
 LINEAR = VEBasisSpec("linear")
@@ -127,59 +128,38 @@ class TestVeFromF:
 
 class TestValidation:
     def test_valid(self):
-        recs = [
-            EventRecord("a", 0.2, 0.5, Cause.PREVENTABLE),
-            EventRecord("b", None, 0.9, Cause.IRRELEVANT),
-            EventRecord("c", 0.4, 1.0, Cause.CENSORED),
-        ]
-        ds = validate_dataset(recs, 1.0)
+        ds = make_records(
+            [
+                ("a", 0.2, 0.5, Cause.PREVENTABLE),
+                ("b", None, 0.9, Cause.IRRELEVANT),
+                ("c", 0.4, 1.0, Cause.CENSORED),
+            ]
+        )
         assert len(ds) == 3
 
     def test_negative_event_time(self):
-        recs = [EventRecord("a", None, -0.1, Cause.CENSORED)]
-        bad = check_records(recs, 1.0)
+        columns = {"id": ["a"], "vax": [np.nan], "time": [-0.1], "cause": [-1]}
+        bad = check_records(columns, 1.0)
         assert bad and bad[0].field == "event_time" and "negative" in bad[0].reason
 
     def test_strain_on_irrelevant(self):
-        recs = [EventRecord("a", None, 0.5, Cause.IRRELEVANT, strain=1)]
-        bad = check_records(recs, 1.0)
+        columns = {"id": ["a"], "vax": [np.nan], "time": [0.5], "cause": [0], "strain": [1]}
+        bad = check_records(columns, 1.0)
         assert bad and bad[0].field == "strain"
 
     def test_duplicate_ids_and_horizon(self):
-        recs = [
-            EventRecord("a", None, 0.5, Cause.IRRELEVANT),
-            EventRecord("a", None, 1.5, Cause.IRRELEVANT),
-        ]
-        bad = check_records(recs, 1.0)
+        columns = {"id": ["a", "a"], "vax": [np.nan, np.nan], "time": [0.5, 1.5], "cause": [0, 0]}
+        bad = check_records(columns, 1.0)
         fields = {v.field for v in bad}
         assert fields == {"id", "event_time"}
         with pytest.raises(DatasetValidationError):
-            validate_dataset(recs, 1.0)
+            validate_dataset(columns, 1.0)
 
     def test_vaccination_after_event_allowed(self):
-        recs = [EventRecord("a", 0.9, 0.5, Cause.PREVENTABLE)]
-        assert not check_records(recs, 1.0)
+        columns = {"id": ["a"], "vax": [0.9], "time": [0.5], "cause": [1]}
+        assert not check_records(columns, 1.0)
 
-    def test_columns_and_records_agree(self):
-        recs = [
-            EventRecord("a", 0.25, 0.5, Cause.PREVENTABLE, strain=2),
-            EventRecord("b", None, 0.75, Cause.IRRELEVANT),
-            EventRecord("c", 1.05, 1.0, Cause.CENSORED),
-        ]
-        ds = validate_dataset(recs, 1.0)
-        arr = ds.arrays()
-        assert np.array_equal(arr["vax"], [0.25, np.nan, 1.05], equal_nan=True)
-        assert arr["cause"].tolist() == [1, 0, -1] and arr["strain"].tolist() == [2, 0, 0]
-        from_columns = validate_dataset({"id": ds.ids, **arr}, 1.0)
-        assert len(from_columns) == 3
-        assert from_columns.records == recs
-
-    def test_column_violations_match_record_violations(self):
-        recs = [
-            EventRecord("a", -0.1, 0.5, Cause.IRRELEVANT, strain=1),
-            EventRecord("a", None, 1.5, Cause.PREVENTABLE),
-            EventRecord("b", math.inf, -1.0, Cause.CENSORED),
-        ]
+    def test_column_violations(self):
         columns = {
             "id": ["a", "a", "b"],
             "vax": [-0.1, np.nan, math.inf],
@@ -190,35 +170,44 @@ class TestValidation:
         expected = [
             (0, "vax_time"), (0, "strain"), (1, "id"), (1, "event_time"), (2, "event_time"), (2, "vax_time"),
         ]
-        assert [(v.index, v.field) for v in check_records(recs, 1.0)] == expected
-        assert check_records(columns, 1.0) == check_records(recs, 1.0)
+        assert [(v.index, v.field) for v in check_records(columns, 1.0)] == expected
 
     def test_unknown_cause_code(self):
         columns = {"id": ["a"], "vax": [np.nan], "time": [0.5], "cause": [2]}
         with pytest.raises(DatasetValidationError, match="unknown cause code"):
             validate_dataset(columns, 1.0)
 
+    def test_non_mapping_rejected(self):
+        rows = [("a", None, 0.5, Cause.IRRELEVANT)]
+        for check in (check_records, validate_dataset):
+            with pytest.raises(TypeError, match="mapping of columns"):
+                check(rows, 1.0)
+
 
 class TestEventsCsv:
     def test_round_trip(self, tmp_path):
-        recs = [
-            EventRecord("a", 0.25, 0.5, Cause.PREVENTABLE, strain=2),
-            EventRecord("b", None, 0.75, Cause.IRRELEVANT),
-            EventRecord("c", 1.05, 1.0, Cause.CENSORED),
-        ]
-        ds = validate_dataset(recs, 1.0)
+        ds = make_records(
+            [
+                ("a", 0.25, 0.5, Cause.PREVENTABLE, 2),
+                ("b", None, 0.75, Cause.IRRELEVANT),
+                ("c", 1.05, 1.0, Cause.CENSORED),
+            ]
+        )
+        arr = ds.arrays()
+        assert np.array_equal(arr["vax"], [0.25, np.nan, 1.05], equal_nan=True)
+        assert arr["cause"].tolist() == [1, 0, -1] and arr["strain"].tolist() == [2, 0, 0]
         path = tmp_path / "events.csv"
         write_events_csv(ds, path)
         back = read_events_csv(path, horizon=1.0)
-        assert back.records == ds.records
+        assert list(dataset_rows(back)) == list(dataset_rows(ds))
 
     def test_optional_strain_blank_lines_and_unknown_cause(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text("id,vax_time,event_time,cause\na,0.25,0.5,preventable\n\nb,,0.75,irrelevant\n")
         ds = read_events_csv(path)
-        assert ds.records == [
-            EventRecord("a", 0.25, 0.5, Cause.PREVENTABLE),
-            EventRecord("b", None, 0.75, Cause.IRRELEVANT),
+        assert list(dataset_rows(ds)) == [
+            Row("a", 0.25, 0.5, Cause.PREVENTABLE, None),
+            Row("b", None, 0.75, Cause.IRRELEVANT, None),
         ]
         assert ds.horizon == 0.75
         path.write_text("id,vax_time,event_time,cause\na,,0.5,censored\nb,,0.7,sick\n")

@@ -7,18 +7,16 @@ import pytest
 from vewane.cli import DAYS_PER_YEAR
 from vewane.core import (
     Cause,
-    EventRecord,
     NonIdentifiableError,
     VEBasisSpec,
     VewaneError,
     convert_to_years,
-    validate_dataset,
 )
 from vewane.cox import cox_partial_loglik, fit_cox_tv
 from vewane.sieve import newton
 from vewane.simulate import ScenarioSpec, simulate_cohort, substream_seed
 
-from .conftest import make_records, workers
+from .conftest import make_records, with_columns, workers
 from .oracles import cox_derivs_scan, finite_diff_gradient, finite_diff_jacobian, max_rel_err
 
 CONST = VEBasisSpec("constant")
@@ -56,20 +54,20 @@ def day_unit_boundary_cohort():
     rows += [(f"v{d}", float(d), 450.0, Cause.CENSORED) for d in range(10, 430)]
     rows += [(f"c{d}", None, 450.0, Cause.CENSORED) for d in range(200)]
     rows += [("late", 300.0, 200.0, Cause.PREVENTABLE), ("late2", 449.0, 120.0, Cause.CENSORED)]
-    records = [EventRecord(f"{r[0]}-{k}", r[1], r[2], r[3]) for k, r in enumerate(rows)]
-    return convert_to_years(validate_dataset(records, 450.0, time_unit="days"), DAYS_PER_YEAR)
+    rows = [(f"{r[0]}-{k}", *r[1:]) for k, r in enumerate(rows)]
+    return convert_to_years(make_records(rows, 450.0, time_unit="days"), DAYS_PER_YEAR)
+
+
+# covariates (1, 0, 1): events at t=1, 2 for the first two; third at risk throughout
+THREE_SUBJECTS = [
+    ("s1", 0.0, 1.0, Cause.PREVENTABLE),
+    ("s2", None, 2.0, Cause.PREVENTABLE),
+    ("s3", 0.0, 3.0, Cause.CENSORED),
+]
 
 
 def three_subject_dataset():
-    # covariates (1, 0, 1): events at t=1, 2 for the first two; third at risk throughout
-    return make_records(
-        [
-            ("s1", 0.0, 1.0, Cause.PREVENTABLE),
-            ("s2", None, 2.0, Cause.PREVENTABLE),
-            ("s3", 0.0, 3.0, Cause.CENSORED),
-        ],
-        horizon=3.0,
-    )
+    return make_records(THREE_SUBJECTS, horizon=3.0)
 
 
 class TestPartialLikelihood:
@@ -182,9 +180,7 @@ class TestPartialLikelihood:
 class TestRiskSets:
     def test_removing_irrelevant_censored_subject(self):
         ds = three_subject_dataset()
-        extra = validate_dataset(
-            ds.records + [EventRecord("ghost", None, 0.5, Cause.CENSORED)], ds.horizon
-        )
+        extra = make_records(THREE_SUBJECTS + [("ghost", None, 0.5, Cause.CENSORED)], ds.horizon)
         fit_a = fit_cox_tv(ds, CONST)
         fit_b = fit_cox_tv(extra, CONST)
         assert fit_a.beta[0] == pytest.approx(fit_b.beta[0], abs=1e-12)
@@ -195,18 +191,8 @@ class TestTimeTransform:
         sc = ScenarioSpec(n=800, seed=59)
         ds, _ = simulate_cohort(sc)
         fit_raw = fit_cox_tv(ds, CONST)
-        transformed = validate_dataset(
-            [
-                EventRecord(
-                    r.id,
-                    None if r.vax_time is None else r.vax_time**3,
-                    r.event_time**3,
-                    r.cause,
-                )
-                for r in ds.records
-            ],
-            ds.horizon**3,
-        )
+        a = ds.arrays()
+        transformed = with_columns(ds, horizon=ds.horizon**3, vax=a["vax"] ** 3, time=a["time"] ** 3)
         fit_t = fit_cox_tv(transformed, CONST)
         assert fit_raw.beta[0] == pytest.approx(fit_t.beta[0], abs=1e-9)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from vewane.core import Cause, EventRecord, VEBasisSpec, eval_ve_basis, validate_dataset
+from vewane.core import Cause, VEBasisSpec, eval_ve_basis
 from vewane.sieve import fit_sieve_multinomial
 from vewane.simulate import (
     ScenarioSpec,
@@ -25,7 +25,7 @@ from vewane.simulate import (
 from vewane.surveillance import VariantMix
 from vewane.tmle import fit_tmle_multinomial
 
-from .conftest import workers
+from .conftest import make_records, workers
 
 N = 6000
 N_REPS = 200
@@ -56,7 +56,7 @@ def simulate_two_strain(seed):
     lam2_split = cumulative_hazard(sc2, latent, 1, np.full(N, SPLIT))
     t2 = invert_cumulative_hazard(sc2, latent, 1, lam2_split + e2 / (1.0 - P1_LATE))
 
-    records = []
+    rows = []
     vaccinated = latent.vaccinated
     for i in range(N):
         times = np.array([t0[i], t1[i], t2[i]])
@@ -67,10 +67,8 @@ def simulate_two_strain(seed):
             time = float(times[k])
             cause = Cause.IRRELEVANT if k == 0 else Cause.PREVENTABLE
             strain = None if k == 0 else k
-        records.append(
-            EventRecord(f"p{i}", float(latent.v_raw[i]) if vaccinated[i] else None, time, cause, strain)
-        )
-    return validate_dataset(records, 1.0)
+        rows.append((f"p{i}", float(latent.v_raw[i]) if vaccinated[i] else None, time, cause, strain))
+    return make_records(rows, 1.0)
 
 
 def _mc_rep(seed):

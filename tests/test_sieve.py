@@ -6,13 +6,11 @@ import pytest
 
 from vewane.core import (
     Cause,
-    EventRecord,
     NonIdentifiableError,
     NotConvergedError,
     OnlyOneCauseError,
     VEBasisSpec,
     VewaneError,
-    validate_dataset,
 )
 from vewane.sieve import (
     FixedOffset,
@@ -27,7 +25,7 @@ from vewane.simulate import ScenarioSpec, simulate_cohort, substream_seed
 from vewane.smoothing import BSplineBasis, ConstantFn
 from vewane.surveillance import VariantMix, impute_strains
 
-from .conftest import make_records
+from .conftest import dataset_rows, event_times, make_records, with_columns
 from .oracles import finite_diff_gradient, finite_diff_jacobian, logistic_loglik_reference, max_rel_err
 
 LINEAR = VEBasisSpec("linear")
@@ -82,8 +80,7 @@ class TestLoglikDerivs:
     def test_matches_reference_loglik(self, rng):
         sc = ScenarioSpec(n=3000, seed=17)
         ds, _ = simulate_cohort(sc)
-        design = build_design(ds, LINEAR, default_alpha_basis(
-            np.array([r.event_time for r in ds.records if r.cause != Cause.CENSORED])))
+        design = build_design(ds, LINEAR, default_alpha_basis(event_times(ds)))
         theta = rng.normal(0, 0.4, design.n_params)
         ll, _, _ = loglik_derivs(design, theta)
         eta = np.hstack([design.X_ve[0], design.X_alpha]) @ theta + design.offsets[:, 0]
@@ -104,8 +101,7 @@ class TestLoglikDerivs:
     def test_gradient_hessian_finite_diff(self, rng):
         sc = ScenarioSpec(n=2000, seed=23)
         ds, _ = simulate_cohort(sc)
-        alpha = default_alpha_basis(
-            np.array([r.event_time for r in ds.records if r.cause != Cause.CENSORED]), knots=2)
+        alpha = default_alpha_basis(event_times(ds), knots=2)
         binary = build_design(ds, LINEAR, alpha)
         cases = [(binary, rng.normal(0, 0.3, binary.n_params)) for _ in range(5)]
         # two strains: the cross blocks between VE columns and shared alpha columns
@@ -219,12 +215,8 @@ class TestFitSieveBinary:
     def test_time_translation_equivariance(self, small_cohort):
         _, ds, _ = small_cohort
         delta = 3.0
-        shifted_records = [
-            EventRecord(r.id, None if r.vax_time is None else r.vax_time + delta,
-                        r.event_time + delta, r.cause, r.strain)
-            for r in ds.records
-        ]
-        shifted = validate_dataset(shifted_records, ds.horizon + delta)
+        a = ds.arrays()
+        shifted = with_columns(ds, horizon=ds.horizon + delta, vax=a["vax"] + delta, time=a["time"] + delta)
         fit0 = fit_sieve_binary(ds, LINEAR)
         knots0 = np.asarray(fit0.diagnostics["knots"])
         b0 = fit0.diagnostics["boundary"]
@@ -249,7 +241,7 @@ class TestFitSieveBinary:
         fit = fit_sieve_binary(ds, LINEAR)
         alpha_fn = fit.nuisance
         ll = 0.0
-        for r in ds.records:
+        for r in dataset_rows(ds):
             if r.cause == Cause.CENSORED:
                 continue
             z = r.vax_time is not None and r.vax_time <= r.event_time
@@ -267,10 +259,7 @@ def step_mixture():
 class TestFitSieveMultinomial:
     def test_single_strain_degenerates_to_binary(self, small_cohort):
         _, ds, _ = small_cohort
-        labeled = validate_dataset(
-            [EventRecord(r.id, r.vax_time, r.event_time, r.cause,
-                         1 if r.cause == Cause.PREVENTABLE else None) for r in ds.records],
-            ds.horizon)
+        labeled = with_columns(ds, strain=np.where(ds.arrays()["cause"] == 1, 1, 0))
         mix = VariantMix((0.5,), (1,), ((1.0,),))
         multi = fit_sieve_multinomial(labeled, LINEAR, mix)
         binary = fit_sieve_binary(ds, LINEAR)
@@ -291,10 +280,7 @@ class TestFitSieveMultinomial:
 
     def test_dead_strain_flagged_other_returned(self, small_cohort):
         _, ds, _ = small_cohort
-        labeled = validate_dataset(
-            [EventRecord(r.id, r.vax_time, r.event_time, r.cause,
-                         1 if r.cause == Cause.PREVENTABLE else None) for r in ds.records],
-            ds.horizon)
+        labeled = with_columns(ds, strain=np.where(ds.arrays()["cause"] == 1, 1, 0))
         mix = VariantMix((0.5,), (1, 2), ((0.6, 0.4),))
         fit = fit_sieve_multinomial(labeled, LINEAR, mix)
         assert fit.diagnostics["nonidentifiable_strains"] == [2]

@@ -3,20 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from vewane.core import Cause, EventRecord, FitResult, VEBasisSpec, VewaneError, validate_dataset
+from vewane.core import Cause, FitResult, VEBasisSpec, VewaneError
 from vewane.sieve import default_alpha_basis, fit_sieve_binary
 from vewane.simulate import ScenarioSpec, simulate_cohort
 from vewane.smoothing import KernelFn, bspline_eval
 from vewane.surveillance import VariantMix
 from vewane.tmle import (
-    clever_covariate,
     eic_values,
     estimate_r,
     fit_tmle_binary,
     fit_tmle_multinomial,
 )
 
-from .conftest import make_records
+from .conftest import make_records, with_columns
 from .oracles import kernel_smooth_dense
 
 LINEAR = VEBasisSpec("linear")
@@ -55,30 +54,6 @@ class TestEstimateR:
     def test_degenerate_weights_rejected(self):
         with pytest.raises(VewaneError):
             estimate_r(np.linspace(0, 1, 10), np.ones((10, 1)), np.zeros(10))
-
-
-class TestCleverCovariate:
-    def test_zero_r(self):
-        from vewane.smoothing import ConstantFn
-
-        psi = np.array([[1.0, 0.3]])
-        H = clever_covariate(psi, [0.5], [ConstantFn(0.0), ConstantFn(0.0)])
-        assert np.allclose(H, psi)
-
-    def test_exact_self_subtraction(self, rng):
-        from vewane.smoothing import TableFn
-
-        T = np.linspace(0.1, 0.9, 20)
-        col = np.sin(T)
-        fn = TableFn(T, col)
-        H = clever_covariate(col[:, None], T, [fn])
-        assert np.allclose(H, 0.0, atol=1e-12)
-
-    def test_unvaccinated_row(self):
-        from vewane.smoothing import ConstantFn
-
-        H = clever_covariate(np.zeros((1, 2)), [0.4], [ConstantFn(0.3), ConstantFn(0.1)])
-        assert np.allclose(H, [[-0.3, -0.1]])
 
 
 class TestFitTmleBinary:
@@ -203,14 +178,7 @@ class TestFitTmleBinary:
 
 
 def labeled_single_strain(ds):
-    return validate_dataset(
-        [
-            EventRecord(r.id, r.vax_time, r.event_time, r.cause,
-                        1 if r.cause == Cause.PREVENTABLE else None)
-            for r in ds.records
-        ],
-        ds.horizon,
-    )
+    return with_columns(ds, strain=np.where(ds.arrays()["cause"] == 1, 1, 0))
 
 
 class TestFitTmleMultinomial:
