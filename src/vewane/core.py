@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -250,34 +252,61 @@ def write_events_csv(dataset: Dataset, path) -> None:
         )
 
 
+_REQUIRED_COLUMNS = ("id", "vax_time", "event_time", "cause")
+
+
+def _csv_columns(text: str) -> tuple[list[str], list[list[str | None]]]:
+    """(header, one list of field strings per header column) of CSV text, blank
+    lines skipped; a field that a short row lacks reads as None.
+
+    Text with no quote character whose rows all have the header's field count
+    is split as one flat field list and sliced by stride.  Any other text is
+    parsed by `csv.reader`, the only path that unquotes fields."""
+    flat = text.replace("\r\n", "\n")
+    lines = flat.split("\n")
+    header = lines[0].split(",")
+    rows = list(filter(None, lines[1:]))
+    width = len(header)
+    if '"' not in flat and "\r" not in flat and set(map(str.count, rows, repeat(","))) <= {width - 1}:
+        fields = ",".join(rows).split(",") if rows else []
+        return header, [fields[j::width] for j in range(width)]
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, [])
+    rows = [row for row in reader if row]
+    return header, [[row[j] if j < len(row) else None for row in rows] for j in range(len(header))]
+
+
 def read_events_csv(path, horizon: float | None = None, time_unit: str = "years") -> Dataset:
     """Read the events CSV into columns; an empty vax_time means never vaccinated
-    and an empty strain means none (NaN and 0 in the columns)."""
-    required = {"id", "vax_time", "event_time", "cause"}
+    and an empty or missing strain means none (NaN and 0 in the columns).  Blank
+    lines are skipped, and violation indices count data rows after them."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not required.issubset(header):
-            raise DatasetValidationError(
-                [Violation(-1, "header", f"events CSV needs columns {sorted(required)}")]
-            )
-        rows = [row for row in reader if row]  # blank lines are skipped
+        header, fields = _csv_columns(fh.read())
     col = {name: k for k, name in enumerate(header)}
+    if not set(_REQUIRED_COLUMNS).issubset(col):
+        raise DatasetValidationError(
+            [Violation(-1, "header", f"events CSV needs columns {sorted(_REQUIRED_COLUMNS)}")]
+        )
+    need = 1 + max(col[name] for name in _REQUIRED_COLUMNS)
+    last_required = fields[need - 1]
+    if None in last_required:
+        raise DatasetValidationError(
+            [Violation(k, "row", f"fewer than {need} fields") for k, f in enumerate(last_required) if f is None]
+        )
     codes = {c.value: code for c, code in _CAUSE_CODE.items()}
-    cause = [codes.get(row[col["cause"]].strip()) for row in rows]
+    raw_cause = fields[col["cause"]]
+    cause = list(map(codes.get, map(str.strip, raw_cause)))
     if None in cause:
         k = cause.index(None)
-        raise DatasetValidationError([Violation(k, "cause", f"unknown cause {rows[k][col['cause']]!r}")])
-    i_strain = col.get("strain")
-    strain = ["" if i_strain is None or i_strain >= len(row) else row[i_strain].strip() for row in rows]
-    vax = [row[col["vax_time"]].strip() for row in rows]
+        raise DatasetValidationError([Violation(k, "cause", f"unknown cause {raw_cause[k]!r}")])
     columns = {
-        "id": [row[col["id"]] for row in rows],
-        "vax": [float(v) if v else math.nan for v in vax],
-        "time": [float(row[col["event_time"]]) for row in rows],
+        "id": fields[col["id"]],
+        "vax": [float(v) if v else math.nan for v in map(str.strip, fields[col["vax_time"]])],
+        "time": list(map(float, fields[col["event_time"]])),
         "cause": cause,
-        "strain": [int(s) if s else 0 for s in strain],
     }
+    if "strain" in col:
+        columns["strain"] = [int(s.strip() or 0) if s else 0 for s in fields[col["strain"]]]
     if horizon is None:
         horizon = max(columns["time"], default=0.0)
     return validate_dataset(columns, horizon, time_unit)

@@ -78,9 +78,9 @@ def monotonize_curve(curve: VECurve) -> VECurve:
         raise VewaneError("monotonization needs strictly positive standard errors")
     z = norm.ppf(0.5 + curve.meta.get("level", 0.95) / 2.0)
     w = 1.0 / curve.f_se**2
-    f_mono = pava_isotonic(curve.f_hat, w)
-    f_lo_mono = pava_isotonic(curve.f_hat - z * curve.f_se, w)
-    f_hi_mono = pava_isotonic(curve.f_hat + z * curve.f_se, w)
+    f_mono, f_lo_mono, f_hi_mono = pava_isotonic(
+        np.stack([curve.f_hat, curve.f_hat - z * curve.f_se, curve.f_hat + z * curve.f_se]), w
+    )
     return VECurve(
         tau_grid=curve.tau_grid,
         f_hat=curve.f_hat,
@@ -105,7 +105,8 @@ def monotone_ci_mc(
     strain: int | None = None,
 ):
     """Monte-Carlo projection bands: draw beta* ~ N(beta, Cov), PAVA-project each
-    f* over the grid (equal weights), take pointwise quantiles."""
+    f* over the grid (equal weights, all draws in one row-wise call), take
+    pointwise quantiles."""
     tau_grid = np.asarray(tau_grid, dtype=float)
     if fit.strains is not None:
         beta, cov, basis = fit.strain_block(strain)
@@ -120,10 +121,7 @@ def monotone_ci_mc(
     draws = beta[None, :] + rng.standard_normal((n_draws, beta.size)) @ root.T
 
     psi = eval_ve_basis(basis, tau_grid)
-    f_draws = draws @ psi.T
-    projected = np.empty_like(f_draws)
-    for i in range(n_draws):
-        projected[i] = pava_isotonic(f_draws[i])
+    projected = pava_isotonic(draws @ psi.T)
     alpha = 1.0 - level
     lo = np.quantile(projected, alpha / 2.0, axis=0)
     hi = np.quantile(projected, 1.0 - alpha / 2.0, axis=0)

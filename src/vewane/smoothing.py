@@ -512,28 +512,41 @@ def kernel_smooth(x, y, w=None, kernel: str = "epanechnikov", bandwidth=None) ->
 
 
 def pava_isotonic(y, w=None) -> np.ndarray:
-    """Weighted least-squares projection onto nondecreasing vectors (pool adjacent violators)."""
+    """Weighted least-squares projection onto nondecreasing vectors (pool adjacent
+    violators), of one vector y of shape (g,) or of each row of shape (n, g); the
+    g weights are shared by all rows."""
     y = np.asarray(y, dtype=float)
-    w = np.ones_like(y) if w is None else np.asarray(w, dtype=float)
-    if len(y) != len(w) or len(y) < 1:
-        raise ValueError("y and w must be nonempty and of equal length")
+    rows = np.atleast_2d(y)
+    n, g = rows.shape[0], rows.shape[-1]
+    w = np.ones(g) if w is None else np.asarray(w, dtype=float)
+    if y.ndim not in (1, 2) or w.shape != (g,) or g < 1:
+        raise ValueError("y must have shape (g,) or (n, g) with g >= 1 and w shape (g,)")
     if np.any(w <= 0):
         raise ValueError("weights must be positive")
 
-    # blocks as (weighted sum, weight, count), merged while means decrease
-    means = np.empty(len(y))
-    weights = np.empty(len(y))
-    counts = np.empty(len(y), dtype=np.int64)
-    top = 0
-    for yi, wi in zip(y, w):
-        means[top], weights[top], counts[top] = yi, wi, 1
+    # per row a stack of blocks (mean, weight, count) from flat index base,
+    # merged while means decrease; a block merged into the one below keeps count 0
+    means = np.empty(n * g)
+    weights = np.empty(n * g)
+    counts = np.zeros(n * g, dtype=np.int64)
+    base = np.arange(n) * g
+    top = np.zeros(n, dtype=np.intp)
+    for i in range(g):
+        slot = base + top
+        means[slot], weights[slot], counts[slot] = rows[:, i], w[i], 1
         top += 1
-        while top > 1 and means[top - 2] >= means[top - 1]:
-            wtot = weights[top - 2] + weights[top - 1]
-            means[top - 2] = (
-                weights[top - 2] * means[top - 2] + weights[top - 1] * means[top - 1]
-            ) / wtot
-            weights[top - 2] = wtot
-            counts[top - 2] += counts[top - 1]
-            top -= 1
-    return np.repeat(means[:top], counts[:top])
+        live = np.flatnonzero(top > 1)
+        while live.size:
+            b = base[live] + top[live] - 1
+            a = b - 1
+            merge = means[a] >= means[b]
+            live, a, b = live[merge], a[merge], b[merge]
+            wtot = weights[a] + weights[b]
+            means[a] = (weights[a] * means[a] + weights[b] * means[b]) / wtot
+            weights[a] = wtot
+            counts[a] += counts[b]
+            counts[b] = 0
+            top[live] -= 1
+            live = live[top[live] > 1]
+    out = np.repeat(means, counts)
+    return out if y.ndim == 1 else out.reshape(n, g)

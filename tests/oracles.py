@@ -6,11 +6,13 @@ searches, written before the implementations they verify.
 
 from __future__ import annotations
 
+import csv
 import itertools
+import math
 
 import numpy as np
 
-from vewane.core import eval_ve_basis
+from vewane.core import _CAUSE_CODE, DatasetValidationError, Violation, eval_ve_basis, validate_dataset
 
 
 def naive_bspline_value(knots, j, degree, t, t_max):
@@ -65,6 +67,65 @@ def isotonic_by_partition(y, w=None):
         if obj < best_obj - 1e-15:
             best_obj, best_z = obj, z
     return best_z
+
+
+def pava_loop(y, w=None):
+    """Pool adjacent violators on one vector: push each point as a block, then
+    merge the top two blocks while their means do not increase."""
+    y = np.asarray(y, dtype=float)
+    w = np.ones_like(y) if w is None else np.asarray(w, dtype=float)
+    if len(y) != len(w) or len(y) < 1:
+        raise ValueError("y and w must be nonempty and of equal length")
+    if np.any(w <= 0):
+        raise ValueError("weights must be positive")
+    means = np.empty(len(y))
+    weights = np.empty(len(y))
+    counts = np.empty(len(y), dtype=np.int64)
+    top = 0
+    for yi, wi in zip(y, w):
+        means[top], weights[top], counts[top] = yi, wi, 1
+        top += 1
+        while top > 1 and means[top - 2] >= means[top - 1]:
+            wtot = weights[top - 2] + weights[top - 1]
+            means[top - 2] = (
+                weights[top - 2] * means[top - 2] + weights[top - 1] * means[top - 1]
+            ) / wtot
+            weights[top - 2] = wtot
+            counts[top - 2] += counts[top - 1]
+            top -= 1
+    return np.repeat(means[:top], counts[:top])
+
+
+def read_events_csv_rows(path, horizon=None, time_unit="years"):
+    """The events CSV read row by row with `csv.reader`, then column by column."""
+    required = {"id", "vax_time", "event_time", "cause"}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not required.issubset(header):
+            raise DatasetValidationError(
+                [Violation(-1, "header", f"events CSV needs columns {sorted(required)}")]
+            )
+        rows = [row for row in reader if row]  # blank lines are skipped
+    col = {name: k for k, name in enumerate(header)}
+    codes = {c.value: code for c, code in _CAUSE_CODE.items()}
+    cause = [codes.get(row[col["cause"]].strip()) for row in rows]
+    if None in cause:
+        k = cause.index(None)
+        raise DatasetValidationError([Violation(k, "cause", f"unknown cause {rows[k][col['cause']]!r}")])
+    i_strain = col.get("strain")
+    strain = ["" if i_strain is None or i_strain >= len(row) else row[i_strain].strip() for row in rows]
+    vax = [row[col["vax_time"]].strip() for row in rows]
+    columns = {
+        "id": [row[col["id"]] for row in rows],
+        "vax": [float(v) if v else math.nan for v in vax],
+        "time": [float(row[col["event_time"]]) for row in rows],
+        "cause": cause,
+        "strain": [int(s) if s else 0 for s in strain],
+    }
+    if horizon is None:
+        horizon = max(columns["time"], default=0.0)
+    return validate_dataset(columns, horizon, time_unit)
 
 
 def logistic_loglik_reference(eta, y):

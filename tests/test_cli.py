@@ -119,6 +119,13 @@ class TestErrors:
         assert run(["fit", "--method", "sieve", "--events", str(tmp_path / "missing.csv"),
                     "--out", str(tmp_path / "o.json")]) == 2
 
+    def test_ragged_events_row_exit_two(self, tmp_path, capsys):
+        events = tmp_path / "ragged.csv"
+        events.write_text("id,vax_time,event_time,cause,strain\np1,0.1,0.5,preventable,1\np2,0.2\n")
+        code = run(["fit", "--method", "sieve", "--events", str(events), "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert "record 1: row: fewer than 4 fields" in capsys.readouterr().err
+
     def test_json_errors(self, tmp_path, capsys):
         code = run(["--json-errors", "fit", "--method", "sieve",
                     "--events", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o.json")])

@@ -19,7 +19,10 @@ from vewane.core import (
     write_events_csv,
 )
 
+from vewane.simulate import ScenarioSpec, simulate_cohort
+
 from .conftest import Row, dataset_rows, make_records
+from .oracles import read_events_csv_rows
 
 RAMP = VEBasisSpec("ramp", ramp_length=14 / 365)
 LINEAR = VEBasisSpec("linear")
@@ -184,7 +187,68 @@ class TestValidation:
                 check(rows, 1.0)
 
 
+EVENTS_HEADER = "id,vax_time,event_time,cause,strain\n"
+EVENTS_TEXTS = {
+    "quoted ids with commas": EVENTS_HEADER + '"p,1",0.25,0.5,preventable,1\n"p,2",,0.75,irrelevant,\n',
+    "quoted ids": EVENTS_HEADER + '"p1",0.25,0.5,preventable,1\n"p2",,0.75,irrelevant,\n',
+    "blank lines": EVENTS_HEADER + "\na,0.25,0.5,preventable,1\n\n\nb,,0.75,censored,\n\n",
+    "cr endings": EVENTS_HEADER.replace("\n", "\r") + "a,0.25,0.5,preventable,1\rb,,0.75,censored,\r",
+    "mixed endings": EVENTS_HEADER + "a,0.25,0.5,preventable,1\r\nb,,0.75,censored,\n",
+    "no strain column": "id,vax_time,event_time,cause\na,0.25,0.5,preventable\nb,,0.75,irrelevant\n",
+    "missing strain field": EVENTS_HEADER + "a,0.25,0.5,preventable,2\nb,,0.75,irrelevant\n",
+    "spaces": EVENTS_HEADER + "a, 0.25 ,0.5, preventable , 2 \nb,  ,0.75,  irrelevant,  \n",
+    "nan vax": EVENTS_HEADER + "a,nan,0.5,irrelevant,\nb,0.1,0.75,preventable,1\n",
+    "unknown cause": EVENTS_HEADER + "a,,0.5,censored,\n\nb,,0.7,sick,\n",
+    "invalid values": EVENTS_HEADER + "a,-1,0.5,censored,2\na,,0.7,irrelevant,\n",
+    "header only": EVENTS_HEADER,
+}
+
+
+def _read_or_violations(read, path):
+    try:
+        return read(path)
+    except DatasetValidationError as err:
+        return err.violations
+
+
+def assert_reads_like_oracle(path):
+    """`read_events_csv` gives the ids, bit-identical columns, horizon and
+    violations of the row-by-row `csv.reader` oracle."""
+    got, want = (_read_or_violations(read, path) for read in (read_events_csv, read_events_csv_rows))
+    if isinstance(want, list):
+        assert got == want
+        return
+    assert got.ids == want.ids and got.horizon == want.horizon
+    for name, column in want.arrays().items():
+        column_got = got.arrays()[name]
+        assert column_got.dtype == column.dtype and column_got.tobytes() == column.tobytes(), name
+
+
 class TestEventsCsv:
+    def test_cohort_matches_oracle(self, tmp_path):
+        ds, _ = simulate_cohort(ScenarioSpec(n=5000, beta_true=(-1.0, 1.0), seed=17))
+        path = tmp_path / "events.csv"
+        write_events_csv(ds, path)
+        assert b"\r\n" in path.read_bytes()
+        assert_reads_like_oracle(path)
+        path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+        assert_reads_like_oracle(path)
+        assert read_events_csv(path).ids == ds.ids
+
+    @pytest.mark.parametrize("case", sorted(EVENTS_TEXTS))
+    def test_matches_oracle(self, case, tmp_path):
+        path = tmp_path / "events.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(EVENTS_TEXTS[case])
+        assert_reads_like_oracle(path)
+
+    def test_short_row_is_a_violation(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text(EVENTS_HEADER + "p1,0.1,0.5,preventable,1\n\np2,0.2\np3,,0.6,irrelevant\np4\n")
+        with pytest.raises(DatasetValidationError) as err:
+            read_events_csv(path)
+        assert err.value.violations == [Violation(k, "row", "fewer than 4 fields") for k in (1, 3)]
+
     def test_round_trip(self, tmp_path):
         ds = make_records(
             [

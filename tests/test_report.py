@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import vewane.report
 from vewane.core import FitResult, VEBasisSpec, VewaneError
 from vewane.report import (
     VECurve,
@@ -11,7 +12,7 @@ from vewane.report import (
     write_curve,
 )
 
-from .oracles import isotonic_by_partition
+from .oracles import isotonic_by_partition, pava_loop
 
 LINEAR = VEBasisSpec("linear")
 
@@ -143,6 +144,40 @@ class TestMonotoneCiMc:
             total += len(grid)
             hits += int(np.sum((point >= lo - 1e-12) & (point <= hi + 1e-12)))
         assert hits / total >= 0.99
+
+
+def _pava_per_row(y, w=None):
+    return np.array([pava_loop(row, w) for row in y])
+
+
+class TestRowWisePava:
+    """One row-wise PAVA call gives the bands that one call per row gave."""
+
+    FITS = [
+        make_fit([-1.0, 0.5], [[0.05, 0.01], [0.01, 0.2]]),
+        make_fit([0.2, -0.4], [[0.3, -0.1], [-0.1, 0.4]]),
+        make_fit([-0.3, -1.0, 1.0], np.diag([0.04, 0.02, 0.5]), VEBasisSpec("ramp", ramp_length=14 / 365)),
+    ]
+
+    def _both(self, monkeypatch, compute):
+        got = compute()
+        monkeypatch.setattr(vewane.report, "pava_isotonic", _pava_per_row)
+        want = compute()
+        monkeypatch.undo()
+        return got, want
+
+    @pytest.mark.parametrize("k", range(len(FITS)))
+    def test_mc_bands_match_per_draw_loop(self, k, monkeypatch):
+        grid = np.linspace(0.0, 0.6, 31)
+        got, want = self._both(monkeypatch, lambda: monotone_ci_mc(self.FITS[k], grid, n_draws=400, seed=k))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("k", range(len(FITS)))
+    def test_monotonized_curve_matches_per_row_loop(self, k, monkeypatch):
+        curve = ve_curve(self.FITS[k], np.linspace(0.0, 0.6, 31))
+        got, want = self._both(monkeypatch, lambda: monotonize_curve(curve))
+        for field in ("f_mono", "ve_mono", "ve_mono_lo", "ve_mono_hi"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
 class TestCurveCsv:

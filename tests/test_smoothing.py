@@ -17,7 +17,9 @@ from vewane.smoothing import (
     weighted_spline_smooth,
 )
 
-from .oracles import isotonic_by_partition, kernel_smooth_dense, max_rel_err, naive_bspline_row
+from vewane.core import VEBasisSpec, eval_ve_basis
+
+from .oracles import isotonic_by_partition, kernel_smooth_dense, max_rel_err, naive_bspline_row, pava_loop
 
 
 class TestBSpline:
@@ -264,6 +266,38 @@ class TestKernelSmooth:
         assert np.allclose(f1(grid), f2(grid), atol=1e-12)
 
 
+def _pava_rows() -> dict:
+    """Name -> (rows, shared weights or None) for the row-wise PAVA checks."""
+    rng = np.random.default_rng(41)
+    g = 41
+    tau = np.linspace(0.0, 0.5, g)
+    lines = rng.normal(-1.0, 0.5, (60, 1)) + rng.normal(0.0, 2.0, (60, 1)) * tau
+    ramp = VEBasisSpec("ramp", ramp_length=14 / 365)
+    ramp_draws = rng.normal((-0.3, -1.0, 1.0), (0.3, 0.3, 1.5), (60, 3)) @ eval_ve_basis(ramp, tau).T
+    noisy = lines + rng.normal(0.0, 0.3, lines.shape)
+    with_nan = noisy.copy()
+    with_nan[rng.random(noisy.shape) < 0.05] = np.nan
+    weights = rng.uniform(0.2, 3.0, g)
+    return {
+        "increasing": (np.abs(lines[:, :1]) * tau + lines[:, :1], None),
+        "decreasing": (-np.abs(lines[:, :1]) * tau + lines[:, :1], None),
+        "constant": (np.repeat(lines[:, :1], g, axis=1), None),
+        "lines": (lines, None),
+        "ramp draws": (ramp_draws, None),
+        "ties": (rng.integers(0, 3, (60, g)).astype(float), None),
+        "noisy": (noisy, None),
+        "cumulative": (np.cumsum(rng.normal(0.0, 1.0, (60, g)), axis=1), None),
+        "weighted noisy": (noisy, weights),
+        "weighted ties": (rng.integers(0, 3, (60, g)).astype(float), weights),
+        "nan entries": (with_nan, None),
+        "one row": (noisy[:1], weights),
+        "one column": (noisy[:, :1], weights[:1]),
+    }
+
+
+PAVA_ROWS = _pava_rows()
+
+
 class TestPava:
     def test_already_monotone(self):
         assert np.allclose(pava_isotonic([1.0, 2.0, 3.0]), [1, 2, 3])
@@ -286,6 +320,29 @@ class TestPava:
             want = isotonic_by_partition(y, w)
             got = pava_isotonic(y, w)
             assert np.allclose(got, want, atol=1e-9), (y.tolist(), w.tolist())
+
+    def test_bad_shapes_rejected(self):
+        for y, w in [
+            (np.ones((3, 4)), np.ones(3)),
+            (np.ones(4), np.ones(5)),
+            (np.ones((3, 0)), None),
+            (np.ones(0), None),
+            (np.ones((2, 3, 4)), None),
+            (1.0, None),
+        ]:
+            with pytest.raises(ValueError):
+                pava_isotonic(y, w)
+        with pytest.raises(ValueError):
+            pava_isotonic(np.ones((3, 2)), [1.0, -1.0])
+
+    @pytest.mark.parametrize("case", sorted(PAVA_ROWS))
+    def test_rows_match_loop_oracle(self, case):
+        y, w = PAVA_ROWS[case]
+        want = np.array([pava_loop(row, w) for row in y])
+        got = pava_isotonic(y, w)
+        assert got.shape == y.shape and np.array_equal(got, want, equal_nan=True)
+        for row, want_row in zip(y[:5], want):
+            assert np.array_equal(pava_isotonic(row, w), want_row, equal_nan=True)
 
     @given(
         st.lists(st.floats(-5, 5), min_size=1, max_size=12),
