@@ -252,7 +252,7 @@ def write_events_csv(dataset: Dataset, path) -> None:
         )
 
 
-_REQUIRED_COLUMNS = ("id", "vax_time", "event_time", "cause")
+_REQUIRED_COLUMNS = frozenset({"id", "vax_time", "event_time", "cause"})
 
 
 def _csv_columns(text: str) -> tuple[list[str], list[list[str | None]]]:
@@ -283,7 +283,7 @@ def read_events_csv(path, horizon: float | None = None, time_unit: str = "years"
     with open(path, newline="") as fh:
         header, fields = _csv_columns(fh.read())
     col = {name: k for k, name in enumerate(header)}
-    if not set(_REQUIRED_COLUMNS).issubset(col):
+    if not _REQUIRED_COLUMNS.issubset(col):
         raise DatasetValidationError(
             [Violation(-1, "header", f"events CSV needs columns {sorted(_REQUIRED_COLUMNS)}")]
         )

@@ -18,7 +18,6 @@ from vewane.core import (
     ve_from_f,
     write_events_csv,
 )
-
 from vewane.simulate import ScenarioSpec, simulate_cohort
 
 from .conftest import Row, dataset_rows, make_records
