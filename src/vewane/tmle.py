@@ -35,7 +35,6 @@ from .sieve import (
     newton,
 )
 from .smoothing import (
-    LAMBDA_GRID,
     BSplineBasis,
     SmoothFn,
     SplineFn,
@@ -166,19 +165,13 @@ def _efficient_scores(design: SieveDesign, Q: np.ndarray, r_vals: list[np.ndarra
 def _smoother_facts(smoother, kernel, bandwidth, r_fns, alpha_fn) -> dict:
     """The nuisance smoothers of the last targeting iteration: the kernel and its
     bandwidth, or per r component (in beta order) the spline's interior-knot
-    count, GCV lambda, whether that lambda is an end of `LAMBDA_GRID` (the GCV
-    minimum may lie beyond it) and mean fallback; the same for a spline alpha."""
+    count, GCV lambda and mean fallback; the same for a spline alpha."""
 
     def spline(fn):
         if not isinstance(fn, SplineFn):
             return None
         lam = None if fn.gcv_lambda is None else float(fn.gcv_lambda)
-        return {
-            "knots": len(fn.basis.interior_knots),
-            "gcv_lambda": lam,
-            "lambda_at_grid_edge": lam in (LAMBDA_GRID[0], LAMBDA_GRID[-1]),
-            "fallback": bool(fn.fallback),
-        }
+        return {"knots": len(fn.basis.interior_knots), "gcv_lambda": lam, "fallback": bool(fn.fallback)}
 
     facts = {"kind": smoother}
     if smoother == "kernel":

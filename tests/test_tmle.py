@@ -6,7 +6,7 @@ import pytest
 from vewane.core import Cause, FitResult, VEBasisSpec, VewaneError
 from vewane.sieve import default_alpha_basis, fit_sieve_binary
 from vewane.simulate import ScenarioSpec, simulate_cohort
-from vewane.smoothing import LAMBDA_GRID, KernelFn, bspline_eval
+from vewane.smoothing import KernelFn, bspline_eval
 from vewane.surveillance import VariantMix
 from vewane.tmle import (
     eic_values,
@@ -56,10 +56,6 @@ class TestEstimateR:
             estimate_r(np.linspace(0, 1, 10), np.ones((10, 1)), np.zeros(10))
 
 
-def _at_grid_edge(lam) -> bool:
-    return lam is not None and bool(lam == LAMBDA_GRID[0] or lam == LAMBDA_GRID[-1])
-
-
 class TestFitTmleBinary:
     def test_pspline_targeting_noop_at_sieve(self, small_cohort):
         # r smoothed in the sieve's own span already solves the EIC equation
@@ -74,9 +70,7 @@ class TestFitTmleBinary:
         assert len(facts["r"]) == LINEAR.dimension
         for spline in facts["r"] + [facts["alpha"]]:
             assert spline["knots"] >= 1 and spline["fallback"] is False
-            assert spline["lambda_at_grid_edge"] is _at_grid_edge(spline["gcv_lambda"])
         assert all(r["gcv_lambda"] > 0 for r in facts["r"])
-        assert facts["alpha"]["gcv_lambda"] is None and facts["alpha"]["lambda_at_grid_edge"] is False
         assert json.loads(json.dumps(tmle.to_dict()))["diagnostics"]["smoother"] == facts
 
     def test_kernel_smoother_converges(self, small_cohort):
@@ -87,9 +81,6 @@ class TestFitTmleBinary:
         facts = tmle.diagnostics["smoother"]
         assert facts["kind"] == "kernel" and facts["kernel"] == "epanechnikov"
         assert facts["bandwidth"] > 0 and "r" not in facts
-        alpha = facts["alpha"]
-        assert alpha["gcv_lambda"] > 0
-        assert alpha["lambda_at_grid_edge"] is _at_grid_edge(alpha["gcv_lambda"])
         sieve = fit_sieve_binary(ds, LINEAR)
         assert np.allclose(tmle.beta, sieve.beta, atol=0.1)
 
