@@ -149,9 +149,13 @@ def sample_latents(scenario: ScenarioSpec, rng: np.random.Generator, n: int | No
     return LatentDraw(u_pre, u_post, v_raw, scenario.horizon)
 
 
+def _amplitude(scenario: ScenarioSpec) -> float:
+    return scenario.baseline_amplitude if scenario.baseline_shape == "sinusoidal" else 0.0
+
+
 def _shape_integral(scenario: ScenarioSpec, a, b):
     """Integral of (1 - amplitude*sin(2 pi s)) over [a, b], elementwise."""
-    amp = scenario.baseline_amplitude if scenario.baseline_shape == "sinusoidal" else 0.0
+    amp = _amplitude(scenario)
     out = b - a
     if amp != 0.0:
         two_pi = 2.0 * math.pi
@@ -167,7 +171,7 @@ def _post_vax_integral(scenario: ScenarioSpec, v, t):
     """Integral of lambda01-shape(s) * exp(f(s - v)) over [v, t] (arrays, t >= v)."""
     basis = scenario.ve_basis
     beta = scenario.beta_true
-    amp = scenario.baseline_amplitude if scenario.baseline_shape == "sinusoidal" else 0.0
+    amp = _amplitude(scenario)
     if basis.kind == "constant" or (basis.kind == "linear" and beta[1] == 0.0):
         return math.exp(beta[0]) * _shape_integral(scenario, v, t)
 
@@ -183,7 +187,7 @@ def _post_vax_integral(scenario: ScenarioSpec, v, t):
         g = np.exp(_f_true(scenario, np.maximum(s - v[..., None], 0.0)))
         if amp != 0.0:
             g = g * (1.0 - amp * np.sin(two_pi * s))
-        total = total + half * (g @ _GL_WEIGHTS)
+        total = total + half * np.add.reduce(g * _GL_WEIGHTS, axis=-1)
     return total
 
 
@@ -212,28 +216,198 @@ def cumulative_hazard(scenario: ScenarioSpec, latent: LatentDraw, cause: int, t)
     return lam * total
 
 
+# Levels of the bisection's dyadic path replayed from the closed-form root and
+# then checked; a row whose check fails at one level is retried at the next,
+# and one that fails them all is bisected from [0, horizon].
+_REPLAY_LEVELS = (42, 34, 26, 18)
+_BISECTION_LEVELS = 45  # horizon / 2**45 << 1e-12
+# Rounding of `cumulative_hazard` against the exact integral, measured with
+# 40-digit quadrature: at most 10 eps * Lambda, plus 0.04 eps * lambda01 * u_pre
+# * |amplitude| from the cosines of `_shape_integral` near t = 0.  So
+# D = 16 eps * scale bounds it (scale is `_rounding_scale`; the bound is
+# tested on the linear and ramp bases).  Since the exact
+# Lambda is nondecreasing, Lambda(hi) >= e + 2D puts every point above hi at or
+# above e, and Lambda(lo) < e - 2D every point below lo under it: the replayed
+# decisions are those the bisection takes.  The check margin is 4D.
+_CHECK_MARGIN = 2.0**-46
+# The closed form and the quadrature agree to a few eps; only rows this close
+# to the horizon's Lambda take the quadrature's hit-or-miss decision.
+_HORIZON_MARGIN = 2.0**-30
+
+
+def _rounding_scale(scenario: ScenarioSpec, latent: LatentDraw, cause: int, e):
+    """Lambda's rounding error near Lambda = e is below 16 eps times this (see _CHECK_MARGIN)."""
+    if cause == 0:
+        return e
+    return e + scenario.lambda01 * latent.u_pre * abs(_amplitude(scenario))
+
+
+def _max_hazard(scenario: ScenarioSpec, latent: LatentDraw, cause: int):
+    """Upper bound on lambda_j(t) over [0, horizon] per row."""
+    if cause == 0:
+        return scenario.lambda00 * np.maximum(latent.u_pre, latent.u_post)
+    beta = np.asarray(scenario.beta_true)
+    pieces = ve_basis_pieces(scenario.ve_basis)
+    ends = [start for start, _, _ in pieces[1:]] + [np.inf]
+    f_max = max(
+        float((a + c * tau) @ beta)
+        for (start, a, c), end in zip(pieces, ends)
+        if start < scenario.horizon
+        for tau in (start, min(end, scenario.horizon))
+    )
+    peak = scenario.lambda01 * (1.0 + abs(_amplitude(scenario)))
+    return peak * np.maximum(latent.u_pre, latent.u_post * math.exp(f_max))
+
+
+def _closed_form_lambda(scenario: ScenarioSpec, latent: LatentDraw, cause: int, t):
+    """Lambda_j(t) per row with each affine piece of f integrated analytically;
+    agrees with `cumulative_hazard` to rounding.
+
+    On a piece, f(s - v) = alpha + k (s - v), and with w = 2 pi
+    int exp(k x) sin(w (v + x)) dx = exp(k x) (k sin - w cos)(w (v + x)) / (k^2 + w^2).
+    """
+    if cause == 0:  # cumulative_hazard is closed-form for cause 0
+        return cumulative_hazard(scenario, latent, 0, t)
+    amp = _amplitude(scenario)
+    w = 2.0 * math.pi
+    beta = np.asarray(scenario.beta_true)
+    v_eff = latent.v_eff
+    post = t > v_eff
+    tau = np.where(post, t - v_eff, 0.0)
+    v = np.where(post, v_eff, 0.0)
+    integral = np.zeros_like(t)
+    pieces = ve_basis_pieces(scenario.ve_basis)
+    ends = [start for start, _, _ in pieces[1:]] + [np.inf]
+    for (start, a, c), end in zip(pieces, ends):
+        alpha, k = float(a @ beta), float(c @ beta)
+        lo, hi = np.minimum(start, tau), np.minimum(end, tau)
+        exp_lo = np.exp(alpha + k * lo)
+        piece = exp_lo * (np.expm1(k * (hi - lo)) / k if k else hi - lo)
+        if amp != 0.0:
+            exp_hi = np.exp(alpha + k * hi)
+            s_lo, s_hi = w * (v + lo), w * (v + hi)
+            wave = exp_hi * (k * np.sin(s_hi) - w * np.cos(s_hi)) - exp_lo * (k * np.sin(s_lo) - w * np.cos(s_lo))
+            piece = piece - amp * wave / (k * k + w * w)
+        integral = integral + piece
+    pre = latent.u_pre * _shape_integral(scenario, 0.0, np.minimum(t, v_eff))
+    return scenario.lambda01 * (pre + latent.u_post * integral)
+
+
+def _hazard(scenario: ScenarioSpec, latent: LatentDraw, t):
+    """Cause-1 hazard lambda_1(t) per row."""
+    v = latent.v_eff
+    post = t > v
+    rate = np.where(post, latent.u_post * np.exp(_f_true(scenario, np.where(post, t - v, 0.0))), latent.u_pre)
+    return scenario.lambda01 * (1.0 - _amplitude(scenario) * np.sin(2.0 * math.pi * t)) * rate
+
+
+def _closed_form_root(scenario: ScenarioSpec, latent: LatentDraw, cause: int, e, lam_end):
+    """Estimate of the t with Lambda(t) = e for rows with lam_end = Lambda(horizon) >= e:
+    exact for cause 0, safeguarded Newton on the closed form for cause 1."""
+    horizon = scenario.horizon
+    v = np.minimum(latent.v_eff, horizon)
+    if cause == 0:
+        lam = scenario.lambda00
+        t = e / (lam * latent.u_pre)
+        return np.where(t <= v, t, v + (e / lam - latent.u_pre * v) / latent.u_post)
+    t = horizon * np.minimum(e / lam_end, 1.0)
+    lo, hi = np.zeros_like(t), np.full_like(t, horizon)
+    last = np.full_like(t, 2.0 * horizon)
+    tol = 2.0**-46 * horizon
+    rows = np.arange(t.size)
+    for _ in range(100):
+        part = latent.take(rows)
+        lam = _closed_form_lambda(scenario, part, 1, t[rows])
+        below = lam < e[rows]
+        lo[rows] = np.where(below, t[rows], lo[rows])
+        hi[rows] = np.where(below, hi[rows], t[rows])
+        newton = t[rows] + (e[rows] - lam) / _hazard(scenario, part, t[rows])
+        # bisect when Newton leaves the bracket or fails to halve the last move
+        ok = (lo[rows] <= newton) & (newton <= hi[rows]) & (np.abs(newton - t[rows]) <= 0.5 * last[rows])
+        step = np.where(ok, newton, 0.5 * (lo[rows] + hi[rows]))
+        last[rows] = np.abs(step - t[rows])
+        moving = (last[rows] > tol) & (hi[rows] - lo[rows] > tol)
+        t[rows] = step
+        rows = rows[moving]
+        if rows.size == 0:
+            break
+    return t
+
+
+def _replay(t_hat, horizon: float, levels):
+    """{level: (lo, hi)} at each of `levels` on the bisection path of
+    [0, horizon] that takes mid >= t_hat as Lambda(mid) >= e."""
+    lo = np.zeros_like(t_hat)
+    hi = np.full_like(t_hat, horizon)
+    path = {}
+    for level in range(1, max(levels) + 1):
+        mid = 0.5 * (lo + hi)
+        above = mid >= t_hat
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+        if level in levels:
+            path[level] = (lo, hi)
+    return path
+
+
+def _bisect(scenario: ScenarioSpec, latent: LatentDraw, cause: int, e, lo, hi, levels):
+    """Row i halves [lo[i], hi[i]] levels[i] times toward Lambda = e; returns hi."""
+    for level in range(int(levels.max(initial=0))):
+        rows = np.nonzero(levels > level)[0]
+        mid = 0.5 * (lo[rows] + hi[rows])
+        above = cumulative_hazard(scenario, latent.take(rows), cause, mid) >= e[rows]
+        hi[rows] = np.where(above, mid, hi[rows])
+        lo[rows] = np.where(above, lo[rows], mid)
+    return hi
+
+
 def invert_cumulative_hazard(scenario: ScenarioSpec, latent: LatentDraw, cause: int, e):
-    """Smallest t with Lambda_j(t) >= e by bisection (abs tol 1e-12); NaN when no event."""
+    """Smallest t with Lambda_j(t) >= e by bisection (abs tol 1e-12); NaN when no event.
+
+    Bit for bit the 45-level bisection on `cumulative_hazard`.  The closed form
+    decides who reaches e by the horizon and estimates each root; the first
+    `_REPLAY_LEVELS` of the bisection's path are replayed from that estimate
+    and checked with `cumulative_hazard`, and only the last levels evaluate it.
+    """
     e = np.asarray(e, dtype=float)
     if np.any(e <= 0):
         raise ValueError("exponential deviates must be positive")
+    if cause not in (0, 1):
+        raise ValueError("cause must be 0 or 1")
     n = e.shape[0]
+    horizon = scenario.horizon
     out = np.full(n, np.nan)
-    lam_end = cumulative_hazard(scenario, latent, cause, np.full(n, scenario.horizon))
-    hit = lam_end >= e
-    if not np.any(hit):
+    scale = _rounding_scale(scenario, latent, cause, e)
+    lam_end = np.zeros(n)  # rows whose hazard cannot reach e by the horizon keep 0
+    reach = np.nonzero(e <= (1.0 + _HORIZON_MARGIN) * horizon * _max_hazard(scenario, latent, cause))[0]
+    lam_end[reach] = _closed_form_lambda(scenario, latent.take(reach), cause, np.full(reach.size, horizon))
+    near = np.nonzero(np.abs(lam_end - e) <= _HORIZON_MARGIN * scale)[0]
+    if near.size:
+        lam_end[near] = cumulative_hazard(scenario, latent.take(near), cause, np.full(near.size, horizon))
+    idx = np.nonzero(lam_end >= e)[0]
+    if idx.size == 0:
         return out
-    idx = np.nonzero(hit)[0]
     sub = latent.take(idx)
     target = e[idx]
+    margin = _CHECK_MARGIN * scale[idx]
+    t_hat = _closed_form_root(scenario, sub, cause, target, lam_end[idx])
+
+    path = _replay(t_hat, horizon, _REPLAY_LEVELS)
     lo = np.zeros(idx.size)
-    hi = np.full(idx.size, scenario.horizon)
-    for _ in range(45):  # horizon / 2**45 << 1e-12
-        mid = 0.5 * (lo + hi)
-        above = cumulative_hazard(scenario, sub, cause, mid) >= target
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    out[idx] = hi
+    hi = np.full(idx.size, horizon)
+    levels = np.full(idx.size, _BISECTION_LEVELS)
+    pending = np.arange(idx.size)
+    for replayed in _REPLAY_LEVELS:
+        p_lo, p_hi = (bound[pending] for bound in path[replayed])
+        lam = cumulative_hazard(scenario, sub.take(np.tile(pending, 2)), cause, np.concatenate([p_lo, p_hi]))
+        lam_lo, lam_hi = lam[: pending.size], lam[pending.size :]
+        ok = (lam_lo < target[pending] - margin[pending]) & (lam_hi >= target[pending] + margin[pending])
+        done = pending[ok]
+        lo[done], hi[done], levels[done] = p_lo[ok], p_hi[ok], _BISECTION_LEVELS - replayed
+        pending = pending[~ok]
+        if pending.size == 0:
+            break
+    out[idx] = _bisect(scenario, sub, cause, target, lo, hi, levels)
     return out
 
 
@@ -273,7 +447,7 @@ def _preventable_followup_columns(scenario, latent, t1, ids) -> dict:
 
 
 def _participant_ids(n: int) -> list[str]:
-    return [f"p{i:06d}" for i in range(n)]
+    return ("p%06d\n" * n % tuple(range(n))).split()
 
 
 def _truth(scenario: ScenarioSpec) -> dict:

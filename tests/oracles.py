@@ -239,3 +239,29 @@ def kernel_smooth_dense(x, y, w, kernel, h, t):
         nearer = np.abs(xs[idx] - t[dead]) < np.abs(xs[idx - 1] - t[dead])
         out[dead] = np.where(nearer, ys[idx], ys[idx - 1])
     return out
+
+
+def invert_by_bisection(scenario, latent, cause, e):
+    """Smallest t with Lambda_j(t) >= e: 45 halvings of [0, horizon] on the
+    quadrature `cumulative_hazard` at every level; NaN when no event."""
+    from vewane.simulate import cumulative_hazard
+
+    e = np.asarray(e, dtype=float)
+    n = e.shape[0]
+    out = np.full(n, np.nan)
+    lam_end = cumulative_hazard(scenario, latent, cause, np.full(n, scenario.horizon))
+    hit = lam_end >= e
+    if not np.any(hit):
+        return out
+    idx = np.nonzero(hit)[0]
+    sub = latent.take(idx)
+    target = e[idx]
+    lo = np.zeros(idx.size)
+    hi = np.full(idx.size, scenario.horizon)
+    for _ in range(45):
+        mid = 0.5 * (lo + hi)
+        above = cumulative_hazard(scenario, sub, cause, mid) >= target
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    out[idx] = hi
+    return out

@@ -1,11 +1,14 @@
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import kendalltau, ks_2samp
 
-from vewane.core import write_events_csv
+import vewane.simulate
+from vewane.bench import preset_scenarios
+from vewane.core import VEBasisSpec, write_events_csv
 from vewane.simulate import (
     LatentDraw,
     ScenarioSpec,
@@ -15,11 +18,33 @@ from vewane.simulate import (
     simulate_cohort,
     simulate_cohort_views,
     substream_seed,
+    _participant_ids,
     _rng,
 )
 
+from .oracles import invert_by_bisection
+
 # frozen from a one-off n=1e6 run (seed 777) of the default scenario
 REFERENCE_RATES = {"irrelevant": 0.043546, "preventable": 0.057876}
+
+
+PRESET_CELLS = [cell for preset in ("table-cover", "table-foi", "example-app") for cell in preset_scenarios(preset)]
+RAMP_CELL = ("ramp14", ScenarioSpec(
+    n=2000, ve_basis=VEBasisSpec("ramp", 14 / 365), beta_true=(-0.5, -1.0, 0.8),
+    frailty_law="disinhibition-pair",
+))
+
+
+def cohort_draws(scenario):
+    """The latents and the two causes' exponential deviates of a cohort, as drawn
+    by `simulate_cohort`."""
+    rng = _rng(scenario.seed)
+    latent = sample_latents(scenario, rng)
+    return latent, (rng.standard_exponential(scenario.n), rng.standard_exponential(scenario.n))
+
+
+def assert_same_times(got, want):
+    assert np.array_equal(got, want, equal_nan=True), np.nonzero(~((got == want) | (np.isnan(got) & np.isnan(want))))
 
 
 def unit_latents(n, v=np.inf, horizon=1.0):
@@ -160,6 +185,114 @@ class TestInversion:
         with pytest.raises(ValueError):
             invert_cumulative_hazard(sc, unit_latents(1), 0, np.array([0.0]))
 
+    def test_participant_alone_as_in_cohort(self):
+        # the quadrature once summed its weights with a BLAS dot whose last rows
+        # took another kernel, so this row's time depended on the batch size
+        sc = replace(dict(preset_scenarios("table-cover"))["random-low-wane"],
+                     seed=substream_seed(20260809 + 20, 0))
+        latent, deviates = cohort_draws(sc)
+        whole = invert_cumulative_hazard(sc, latent, 1, deviates[1])
+        alone = invert_cumulative_hazard(sc, latent.take([8251]), 1, deviates[1][[8251]])
+        assert alone[0] == whole[8251] == invert_by_bisection(sc, latent.take([8251]), 1, deviates[1][[8251]])[0]
+        subset = np.random.default_rng(5).permutation(sc.n)[:1500]
+        for cause in (0, 1):
+            whole = invert_cumulative_hazard(sc, latent, cause, deviates[cause])
+            part = invert_cumulative_hazard(sc, latent.take(subset), cause, deviates[cause][subset])
+            assert_same_times(part, whole[subset])
+
+
+class TestInversionMatchesBisection:
+    """The replayed inversion equals the 45-level bisection bit for bit."""
+
+    @pytest.mark.parametrize("name,cell", PRESET_CELLS + [RAMP_CELL], ids=lambda x: x if isinstance(x, str) else "")
+    def test_preset_cells(self, name, cell):
+        for k in range(20):
+            sc = replace(cell, n=2000, seed=substream_seed(20261020, k))
+            latent, deviates = cohort_draws(sc)
+            for cause in (0, 1):
+                got = invert_cumulative_hazard(sc, latent, cause, deviates[cause])
+                assert_same_times(got, invert_by_bisection(sc, latent, cause, deviates[cause]))
+
+    @pytest.mark.parametrize("horizon", [0.7, 2.5])
+    @pytest.mark.parametrize("name,cell", [PRESET_CELLS[4], PRESET_CELLS[6], RAMP_CELL], ids=lambda x: x if isinstance(x, str) else "")
+    def test_other_horizons(self, name, cell, horizon):
+        for k in range(5):
+            sc = replace(cell, n=2000, horizon=horizon, vax_upper=1.15 * horizon, seed=substream_seed(20261021, k))
+            latent, deviates = cohort_draws(sc)
+            for cause in (0, 1):
+                got = invert_cumulative_hazard(sc, latent, cause, deviates[cause])
+                assert_same_times(got, invert_by_bisection(sc, latent, cause, deviates[cause]))
+
+    @pytest.mark.parametrize("offset,levels", [(2.0**-33, 19), (0.05, 45)])
+    def test_wrong_estimate_falls_back(self, monkeypatch, offset, levels):
+        # an estimate off by many bisection steps fails its checks; those rows
+        # are bisected from a coarser checked level, or from [0, horizon]
+        estimate = vewane.simulate._closed_form_root
+        bisect = vewane.simulate._bisect
+        seen = []
+
+        def off_root(scenario, latent, cause, e, lam_end):
+            t = estimate(scenario, latent, cause, e, lam_end)
+            return np.clip(t + offset * np.where(np.arange(t.size) % 2, 1.0, -1.0), 0.0, scenario.horizon)
+
+        def spy(scenario, latent, cause, e, lo, hi, rows_levels):
+            seen.append(int(rows_levels.max()))
+            return bisect(scenario, latent, cause, e, lo, hi, rows_levels)
+
+        monkeypatch.setattr(vewane.simulate, "_closed_form_root", off_root)
+        monkeypatch.setattr(vewane.simulate, "_bisect", spy)
+        sc = replace(PRESET_CELLS[6][1], n=2000, seed=7)
+        latent, deviates = cohort_draws(sc)
+        for cause in (0, 1):
+            got = invert_cumulative_hazard(sc, latent, cause, deviates[cause])
+            assert_same_times(got, invert_by_bisection(sc, latent, cause, deviates[cause]))
+        assert min(seen) >= levels
+
+
+class TestRoundingPremises:
+    """The bounds behind the inversion's margins, against 30-digit arithmetic."""
+
+    @pytest.mark.parametrize("beta,amp,basis", [
+        ((-1.0, 1.0), 0.5, VEBasisSpec("linear")),
+        ((-1.0, 0.0), -0.5, VEBasisSpec("linear")),
+        ((0.5, -2.0), 0.9, VEBasisSpec("linear")),
+        ((-0.5, -1.0, 0.8), 0.5, VEBasisSpec("ramp", 14 / 365)),
+    ])
+    def test_quadrature_and_closed_form_error(self, beta, amp, basis):
+        mp = pytest.importorskip("mpmath")
+        sc = ScenarioSpec(n=1, beta_true=beta, baseline_amplitude=amp, ve_basis=basis)
+
+        def exact(u_pre, u_post, v, t):
+            w = 2 * mp.pi
+            r = mp.mpf(basis.ramp_length or 0.0)
+            pre = mp.mpf(min(t, v)) + amp * (mp.cos(w * min(t, v)) - 1) / w
+            if t <= v:
+                return sc.lambda01 * u_pre * pre
+            def g(s):
+                tau = s - v
+                if basis.kind == "ramp":
+                    lin = beta[0] if tau < r else beta[1] + beta[2] * (tau - r)
+                else:
+                    lin = beta[0] + beta[1] * tau
+                return mp.exp(lin) * (1 - amp * mp.sin(w * s))
+            knots = [mp.mpf(v)] + ([mp.mpf(v) + r] if basis.kind == "ramp" and v + r < t else []) + [mp.mpf(t)]
+            return sc.lambda01 * (u_pre * pre + u_post * mp.quad(g, knots))
+
+        with mp.workdps(30):
+            rng = np.random.default_rng(11)
+            eps = np.finfo(float).eps
+            for i in range(60):
+                v = rng.uniform(0, 1.1) if i % 3 else rng.uniform(0, 1e-3)
+                t = rng.uniform(0, 1) if i % 2 else 10 ** rng.uniform(-7, -1)
+                u_pre, u_post = np.exp(rng.normal(size=2))
+                lat = LatentDraw(np.array([u_pre]), np.array([u_post]), np.array([v]), 1.0)
+                want = exact(u_pre, u_post, v, t)
+                scale = float(vewane.simulate._rounding_scale(sc, lat, 1, np.array([float(want)]))[0])
+                quad = cumulative_hazard(sc, lat, 1, np.array([t]))[0]
+                closed = vewane.simulate._closed_form_lambda(sc, lat, 1, np.array([t]))[0]
+                assert abs(mp.mpf(quad) - want) <= 16 * eps * scale
+                assert abs(mp.mpf(closed) - want) <= vewane.simulate._HORIZON_MARGIN * scale / 2
+
 
 class TestSimulateCohort:
     def test_deterministic_bytes(self, tmp_path):
@@ -232,6 +365,10 @@ class TestSimulateCohort:
             sel = z & (tau >= lo) & (tau < lo + 0.15)
             odds = np.mean(j[sel] == 1) / np.mean(j[sel] == 0)
             assert abs(math.log(odds / base_odds) - (-1.0)) < 0.2
+
+    def test_participant_ids(self):
+        assert _participant_ids(3) == ["p000000", "p000001", "p000002"]
+        assert _participant_ids(1_000_001)[-2:] == ["p999999", "p1000000"]
 
     def test_substream_seed_stable(self):
         assert substream_seed(7, 3) == substream_seed(7, 3)
