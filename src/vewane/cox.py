@@ -41,14 +41,24 @@ class _RiskSets:
     x_events: np.ndarray  # covariate of each preventable event
 
 
-def _first_reached(times: np.ndarray, v: np.ndarray, start: float) -> np.ndarray:
+def _sorted_search(times: np.ndarray, keys: np.ndarray, order: np.ndarray, side: str = "left") -> np.ndarray:
+    """np.searchsorted(times, keys, side), searched in the `order` that sorts keys
+    and scattered back: numpy starts each search from the last one's result when
+    the keys ascend, which is several times faster on thousands of keys."""
+    k = np.empty(keys.shape[0], dtype=np.intp)
+    k[order] = np.searchsorted(times, keys[order], side=side)
+    return k
+
+
+def _first_reached(times: np.ndarray, v: np.ndarray, order: np.ndarray, start: float) -> np.ndarray:
     """Per v, the first index k with fl(times[k] - v) >= start (len(times) if none).
 
     This is the test `eval_ve_basis` applies to tau = fl(t - v); fl(v + start)
     can round to either side of it, so the searchsorted guess is moved until
     the exact test agrees (fl(t - v) is monotone in t, so the moves are few).
+    `order` sorts v, and so v + start.
     """
-    k = np.searchsorted(times, v + start)
+    k = _sorted_search(times, v + start, order)
     last = times.shape[0] - 1
     while True:
         down = (k > 0) & (times[np.maximum(k - 1, 0)] - v >= start)
@@ -69,7 +79,11 @@ def _running_sum(ends: np.ndarray, w: np.ndarray, n_times: int) -> np.ndarray:
     w = np.concatenate([w, -w])
     step = 2.0 ** (np.frexp(np.max(np.abs(w), initial=0.0))[1] - 30)
     coarse = np.round(w / step) * step
-    return sum(np.bincount(ends, x, minlength=n_times + 1)[:n_times].cumsum() for x in (coarse, w - coarse))
+
+    def prefix(x):
+        return np.bincount(ends, x, minlength=n_times + 1)[:n_times].cumsum()
+
+    return prefix(coarse) + prefix(w - coarse)
 
 
 def _risk_sets(dataset: Dataset, basis: VEBasisSpec) -> _RiskSets:
@@ -82,14 +96,19 @@ def _risk_sets(dataset: Dataset, basis: VEBasisSpec) -> _RiskSets:
     n_times = times.shape[0]
     vaxed = ~np.isnan(vax)
     v = vax[vaxed]
-    center = float(np.median(v)) if v.size else 0.0
-    at_risk_until = np.searchsorted(times, time[vaxed], side="right")
+    by_v = np.argsort(v)
+    # np.median(v): the mean of the middle one or two of the sorted values
+    center = float(np.mean(v[by_v[(v.size - 1) // 2 : v.size // 2 + 1]])) if v.size else 0.0
+    t_vaxed = time[vaxed]
+    at_risk_until = _sorted_search(times, t_vaxed, np.argsort(t_vaxed), side="right")
     n_unvax = (time.shape[0] - np.searchsorted(np.sort(time), times)).astype(float)
     spec = ve_basis_pieces(basis)
     pieces = []
-    for (start, a, c), stop in zip(spec, [s for s, _, _ in spec[1:]] + [np.inf]):
-        entry = _first_reached(times, v, start)
-        exit_ = np.maximum(np.minimum(_first_reached(times, v, stop), at_risk_until), entry)
+    for (start, a, c), stop in zip(spec, [s for s, _, _ in spec[1:]] + [None]):
+        # a subject leaves a piece at its next start, or the risk set (the last piece never ends)
+        entry = _first_reached(times, v, by_v, start)
+        exit_ = at_risk_until if stop is None else np.minimum(_first_reached(times, v, by_v, stop), at_risk_until)
+        exit_ = np.maximum(exit_, entry)
         keep = entry < exit_
         ends = np.concatenate([entry[keep], exit_[keep]])
         n_unvax -= _running_sum(ends, np.ones(int(keep.sum())), n_times)

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .core import Dataset, VEBasisSpec, eval_ve_basis, validate_dataset, ve_basis_pieces
+from .core import Dataset, RowIds, VEBasisSpec, eval_ve_basis, validate_dataset, ve_basis_pieces
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
@@ -95,24 +95,26 @@ class LatentDraw:
     """Per-participant frailty multipliers and raw vaccination draw.
 
     `v_raw` keeps the untruncated draw; values above the horizon mean the
-    participant is never vaccinated in-study (V = +inf).
+    participant is never vaccinated in-study (V = +inf), which `v_eff` holds.
+    `v_eff` is computed once per draw, and `take` carries it to the rows taken.
     """
 
     u_pre: np.ndarray
     u_post: np.ndarray
     v_raw: np.ndarray
     horizon: float
+    v_eff: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.v_eff is None:
+            self.v_eff = np.where(self.vaccinated, self.v_raw, np.inf)
 
     @property
     def vaccinated(self) -> np.ndarray:
         return self.v_raw <= self.horizon
 
-    @property
-    def v_eff(self) -> np.ndarray:
-        return np.where(self.vaccinated, self.v_raw, np.inf)
-
     def take(self, idx) -> "LatentDraw":
-        return LatentDraw(self.u_pre[idx], self.u_post[idx], self.v_raw[idx], self.horizon)
+        return LatentDraw(self.u_pre[idx], self.u_post[idx], self.v_raw[idx], self.horizon, self.v_eff[idx])
 
 
 def substream_seed(seed: int, index: int) -> int:
@@ -194,10 +196,11 @@ def _post_vax_integral(scenario: ScenarioSpec, v, t):
 def cumulative_hazard(scenario: ScenarioSpec, latent: LatentDraw, cause: int, t):
     """Closed-form-plus-quadrature Lambda_j(t) for each participant."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0) or np.any(t > scenario.horizon * (1 + 1e-12)):
+    if (t < 0).any() or (t > scenario.horizon * (1 + 1e-12)).any():
         raise ValueError("t must lie in [0, horizon]")
     v = latent.v_eff
-    t, v = np.broadcast_arrays(t, v)
+    if t.shape != v.shape:
+        t, v = np.broadcast_arrays(t, v)
     t_pre = np.minimum(t, v)
     if cause == 0:
         lam = scenario.lambda00
@@ -336,7 +339,33 @@ def _closed_form_root(scenario: ScenarioSpec, latent: LatentDraw, cause: int, e,
 
 def _replay(t_hat, horizon: float, levels):
     """{level: (lo, hi)} at each of `levels` on the bisection path of
-    [0, horizon] that takes mid >= t_hat as Lambda(mid) >= e."""
+    [0, horizon] that takes mid >= t_hat as Lambda(mid) >= e.
+
+    When every horizon * k / 2**level is a double (a horizon of 1 or 2.5, say),
+    every midpoint is exact and the path has a closed form; otherwise the
+    halvings are replayed one by one."""
+    if horizon.as_integer_ratio()[0].bit_length() + max(levels) <= 53:
+        return {level: _dyadic_cell(t_hat, horizon, level) for level in levels}
+    return _halving_path(t_hat, horizon, levels)
+
+
+def _dyadic_cell(t_hat, horizon: float, level: int):
+    """(lo, hi) after `level` exact halvings of [0, horizon] toward t_hat: hi =
+    k * width for the least k >= 1 with k * width >= t_hat, and k = 2**level when
+    t_hat is above the horizon or NaN.
+
+    The ceiling of fl(t_hat / width) is that k.  With horizon = m 2^e (m odd), a
+    double above the grid point k * width exceeds it by at least ulp(k m) 2^e, so
+    the exact ratio exceeds k by at least ulp(k m) / m > ulp(k) / 2 (k m is at
+    least bit_length(m) - 1 binades above k) and cannot round down to k."""
+    cells = 2.0**level
+    width = horizon / cells
+    hi = np.ceil(np.fmax(np.fmin(t_hat / width, cells), 1.0)) * width
+    return hi - width, hi
+
+
+def _halving_path(t_hat, horizon: float, levels):
+    """`_replay` by one halving per level."""
     lo = np.zeros_like(t_hat)
     hi = np.full_like(t_hat, horizon)
     path = {}
@@ -446,10 +475,6 @@ def _preventable_followup_columns(scenario, latent, t1, ids) -> dict:
     }
 
 
-def _participant_ids(n: int) -> list[str]:
-    return ("p%06d\n" * n % tuple(range(n))).split()
-
-
 def _truth(scenario: ScenarioSpec) -> dict:
     return {
         "beta_true": list(scenario.beta_true),
@@ -467,14 +492,14 @@ def simulate_cohort(scenario: ScenarioSpec) -> tuple[Dataset, dict]:
     infections analyzes.
     """
     latent, t0, t1 = _draw_cause_times(scenario)
-    columns = _first_event_columns(scenario, latent, t0, t1, _participant_ids(scenario.n))
+    columns = _first_event_columns(scenario, latent, t0, t1, RowIds(scenario.n))
     return validate_dataset(columns, scenario.horizon), dict(_truth(scenario), endpoint="first-event")
 
 
 def simulate_cohort_views(scenario: ScenarioSpec) -> tuple[Dataset, Dataset, dict]:
     """Both endpoint views of the same draw (shared latents and deviates)."""
     latent, t0, t1 = _draw_cause_times(scenario)
-    ids = _participant_ids(scenario.n)  # shared: Dataset never mutates its ids
+    ids = RowIds(scenario.n)
     first = validate_dataset(_first_event_columns(scenario, latent, t0, t1, ids), scenario.horizon)
     followup = validate_dataset(_preventable_followup_columns(scenario, latent, t1, ids), scenario.horizon)
     return first, followup, _truth(scenario)

@@ -418,18 +418,20 @@ def weighted_spline_smooth(
     domain: tuple[float, float] | None = None,
     degree: int = 3,
     placement: str = "quantile",
-) -> SmoothFn:
+) -> SmoothFn | list[SmoothFn]:
     """Penalized weighted least-squares B-spline fit with GCV-chosen penalty.
 
     Minimizes sum w_i (y_i - g(x_i))^2 + lam * ||D2 coef||^2 over the fixed
     log-spaced lambda grid.  Degenerate inputs (too few weighted points for the
-    basis) fall back to the global weighted mean, flagged on the result.
+    basis) fall back to the global weighted mean, flagged on the result.  A y of
+    shape (n, k) gives a list of k fits, one per column, that share the basis and
+    the per-lambda hat traces; each column chooses its own lambda.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.ones_like(x) if w is None else np.asarray(w, dtype=float)
-    if not (len(x) == len(y) == len(w)):
-        raise ValueError("x, y, w must have equal length")
+    if y.ndim not in (1, 2) or not (len(x) == len(y) == len(w)):
+        raise ValueError("x, y, w must have equal length, y of shape (n,) or (n, k)")
     if len(x) < 4:
         raise ValueError("need at least 4 points")
     if np.any(w < 0):
@@ -437,14 +439,20 @@ def weighted_spline_smooth(
     wsum = w.sum()
     if wsum <= 0:
         raise ValueError("all weights are zero")
+    columns = [y] if y.ndim == 1 else list(y.T)
+    fits = _spline_fits(x, columns, w, penalty_order, n_knots, domain, degree, placement)
+    return fits[0] if y.ndim == 1 else fits
+
+
+def _spline_fits(x, columns, w, penalty_order, n_knots, domain, degree, placement) -> list[SplineFn]:
+    def mean_fits(basis):
+        return [SplineFn(basis, np.full(basis.dimension, np.average(y, weights=w)), None, True) for y in columns]
 
     if domain is None:
         domain = (float(x.min()), float(x.max()))
     lo, hi = domain
     if not lo < hi:
-        return SplineFn(
-            BSplineBasis(0, (), (lo, lo + 1.0)), np.array([np.average(y, weights=w)]), None, True
-        )
+        return mean_fits(BSplineBasis(0, (), (lo, lo + 1.0)))
     active = w > 0
     if n_knots is None:
         n_knots = max(1, knot_rule(int(active.sum())))
@@ -452,33 +460,34 @@ def weighted_spline_smooth(
     basis = BSplineBasis(degree, knots, (lo, hi))
     m = basis.dimension
     if int(active.sum()) < m:
-        return SplineFn(basis, np.full(m, np.average(y, weights=w)), None, True)
+        return mean_fits(basis)
 
     B = bspline_eval(basis, np.clip(x, lo, hi))
     BW = B * w[:, None]
     btb = B.T @ BW
-    bty = BW.T @ y
+    btys = [BW.T @ y for y in columns]
     D = _second_difference(m, penalty_order)
     P = D.T @ D
     n = len(x)
 
-    best = None
+    best = [None] * len(columns)
     for lam in LAMBDA_GRID:
         A = btb + lam * P
         try:
-            coef = np.linalg.solve(A, bty)
+            coefs = [np.linalg.solve(A, bty) for bty in btys]
             hat_trace = float(np.trace(np.linalg.solve(A, btb)))
         except np.linalg.LinAlgError:
             continue
-        resid = y - B @ coef
-        rss = float(np.sum(w * resid * resid)) / n
         denom = max(1.0 - hat_trace / n, 1e-10)
-        gcv = rss / denom**2
-        if best is None or gcv < best[0] - 1e-15:
-            best = (gcv, lam, coef)
-    if best is None:
-        return SplineFn(basis, np.full(m, np.average(y, weights=w)), None, True)
-    return SplineFn(basis, best[2], best[1], False)
+        for j, (y, coef) in enumerate(zip(columns, coefs)):
+            resid = y - B @ coef
+            rss = float(np.sum(w * resid * resid)) / n
+            gcv = rss / denom**2
+            if best[j] is None or gcv < best[j][0] - 1e-15:
+                best[j] = (gcv, lam, coef)
+    if None in best:  # a singular system fails every column alike
+        return mean_fits(basis)
+    return [SplineFn(basis, coef, lam, False) for _, lam, coef in best]
 
 
 def silverman_bandwidth(x, w=None) -> float:

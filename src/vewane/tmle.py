@@ -102,15 +102,11 @@ def estimate_r(
     weights = np.asarray(weights, dtype=float)
     if np.max(weights) < DEGENERATE_WEIGHT:
         raise VewaneError("degenerate probability weights: nothing to smooth")
-    fns = []
-    for j in range(values.shape[1]):
-        if smoother == "pspline":
-            fns.append(weighted_spline_smooth(T, values[:, j], weights, n_knots=n_knots))
-        elif smoother == "kernel":
-            fns.append(kernel_smooth(T, values[:, j], weights, kernel=kernel, bandwidth=bandwidth))
-        else:
-            raise ValueError(f"unknown smoother {smoother!r}")
-    return fns
+    if smoother == "pspline":
+        return weighted_spline_smooth(T, values, weights, n_knots=n_knots)
+    if smoother == "kernel":
+        return [kernel_smooth(T, col, weights, kernel=kernel, bandwidth=bandwidth) for col in values.T]
+    raise ValueError(f"unknown smoother {smoother!r}")
 
 
 def _fluctuation_fit(eta: np.ndarray, H_blocks: list[np.ndarray], y: np.ndarray, free: np.ndarray):

@@ -265,3 +265,67 @@ def invert_by_bisection(scenario, latent, cause, e):
         lo = np.where(above, lo, mid)
     out[idx] = hi
     return out
+
+
+def spline_smooth_one_column(x, y, w, n_knots=None, penalty_order=2, degree=3, placement="quantile"):
+    """`smoothing.weighted_spline_smooth` of one column y, with its own basis,
+    hat traces and GCV loop: the form it had before it shared them across columns."""
+    from vewane.smoothing import (
+        LAMBDA_GRID,
+        BSplineBasis,
+        SplineFn,
+        _second_difference,
+        bspline_eval,
+        knot_rule,
+        place_knots,
+    )
+
+    x, y, w = (np.asarray(a, dtype=float) for a in (x, y, w))
+    lo, hi = float(x.min()), float(x.max())
+    if not lo < hi:
+        return SplineFn(BSplineBasis(0, (), (lo, lo + 1.0)), np.array([np.average(y, weights=w)]), None, True)
+    active = w > 0
+    if n_knots is None:
+        n_knots = max(1, knot_rule(int(active.sum())))
+    basis = BSplineBasis(degree, place_knots(x[active], n_knots, (lo, hi), placement), (lo, hi))
+    m = basis.dimension
+    if int(active.sum()) < m:
+        return SplineFn(basis, np.full(m, np.average(y, weights=w)), None, True)
+    B = bspline_eval(basis, np.clip(x, lo, hi))
+    BW = B * w[:, None]
+    btb = B.T @ BW
+    bty = BW.T @ y
+    D = _second_difference(m, penalty_order)
+    P = D.T @ D
+    n = len(x)
+    best = None
+    for lam in LAMBDA_GRID:
+        A = btb + lam * P
+        try:
+            coef = np.linalg.solve(A, bty)
+            hat_trace = float(np.trace(np.linalg.solve(A, btb)))
+        except np.linalg.LinAlgError:
+            continue
+        resid = y - B @ coef
+        rss = float(np.sum(w * resid * resid)) / n
+        denom = max(1.0 - hat_trace / n, 1e-10)
+        gcv = rss / denom**2
+        if best is None or gcv < best[0] - 1e-15:
+            best = (gcv, lam, coef)
+    if best is None:
+        return SplineFn(basis, np.full(m, np.average(y, weights=w)), None, True)
+    return SplineFn(basis, best[2], best[1], False)
+
+
+def running_sum_by_sum(ends, w, n_times):
+    """`cox._running_sum` with its two prefix sums added by `sum()` over a
+    generator (so after a leading integer 0)."""
+    w = np.concatenate([w, -w])
+    step = 2.0 ** (np.frexp(np.max(np.abs(w), initial=0.0))[1] - 30)
+    coarse = np.round(w / step) * step
+    return sum(np.bincount(ends, x, minlength=n_times + 1)[:n_times].cumsum() for x in (coarse, w - coarse))
+
+
+def participant_ids(n):
+    """The ids a simulated cohort of n rows reads as, built as a list of strings."""
+    return ("p%06d\n" * n % tuple(range(n))).split()

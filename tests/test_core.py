@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from vewane.core import (
     Cause,
     DatasetValidationError,
+    RowIds,
     VEBasisSpec,
     Violation,
     check_records,
@@ -21,7 +22,7 @@ from vewane.core import (
 from vewane.simulate import ScenarioSpec, simulate_cohort
 
 from .conftest import Row, dataset_rows, make_records
-from .oracles import read_events_csv_rows
+from .oracles import participant_ids, read_events_csv_rows
 
 RAMP = VEBasisSpec("ramp", ramp_length=14 / 365)
 LINEAR = VEBasisSpec("linear")
@@ -221,6 +222,32 @@ def assert_reads_like_oracle(path):
     for name, column in want.arrays().items():
         column_got = got.arrays()[name]
         assert column_got.dtype == column.dtype and column_got.tobytes() == column.tobytes(), name
+
+
+class TestRowIds:
+    @pytest.mark.parametrize("n", [0, 1, 3, 1_000_001])
+    def test_reads_as_the_list(self, n):
+        ids, want = RowIds(n), participant_ids(n)
+        assert len(ids) == n and list(ids) == want and ids == want
+        step = max(1, n // 4)
+        for part in (slice(1, -1, step), slice(None, None, -step), slice(n - 2, None), slice(n, None)):
+            assert ids[part] == want[part]
+        for k in {0, 1, n // 2, n - 1} & set(range(n)):
+            assert ids[k] == want[k] and ids[k - n] == want[k - n]
+        for k in (n, -n - 1):
+            with pytest.raises(IndexError):
+                ids[k]
+
+    def test_equality(self):
+        assert RowIds(3) == RowIds(3) and RowIds(3) != RowIds(4) and participant_ids(3) == RowIds(3)
+        assert RowIds(3) != ["p000000", "p000001", "p000009"] and RowIds(3) != participant_ids(2)
+        assert RowIds(1) != "p000000"
+
+    def test_list_ids_still_checked_for_duplicates(self):
+        columns = {"id": participant_ids(3) + ["p000001"], "vax": [np.nan] * 4, "time": [0.5] * 4, "cause": [0] * 4}
+        bad = check_records(columns, 1.0)
+        assert [(v.index, v.field) for v in bad] == [(3, "id")]
+        assert not check_records(dict(columns, id=RowIds(4)), 1.0)
 
 
 class TestEventsCsv:

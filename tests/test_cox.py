@@ -12,12 +12,18 @@ from vewane.core import (
     VewaneError,
     convert_to_years,
 )
-from vewane.cox import cox_partial_loglik, fit_cox_tv
+from vewane.cox import _first_reached, _running_sum, cox_partial_loglik, fit_cox_tv
 from vewane.sieve import newton
 from vewane.simulate import ScenarioSpec, simulate_cohort, substream_seed
 
 from .conftest import make_records, with_columns, workers
-from .oracles import cox_derivs_scan, finite_diff_gradient, finite_diff_jacobian, max_rel_err
+from .oracles import (
+    cox_derivs_scan,
+    finite_diff_gradient,
+    finite_diff_jacobian,
+    max_rel_err,
+    running_sum_by_sum,
+)
 
 CONST = VEBasisSpec("constant")
 LINEAR = VEBasisSpec("linear")
@@ -56,6 +62,26 @@ def day_unit_boundary_cohort():
     rows += [("late", 300.0, 200.0, Cause.PREVENTABLE), ("late2", 449.0, 120.0, Cause.CENSORED)]
     rows = [(f"{r[0]}-{k}", *r[1:]) for k, r in enumerate(rows)]
     return convert_to_years(make_records(rows, 450.0, time_unit="days"), DAYS_PER_YEAR)
+
+
+BOUNDARY_START = 0.1  # the ramp length of `boundary_ties_cohort`
+
+
+def boundary_ties_cohort():
+    """Years-unit cohort with tied event times, tied V, and V at fl(t - s) and
+    its float neighbours for s = 0 and s = BOUNDARY_START, so fl(t - V) falls on
+    both sides of each piece start."""
+    rng = np.random.default_rng(11)
+    rows = []
+    for k, t in enumerate(np.round(rng.uniform(0.2, 0.95, 50), 2)):  # ties on a 0.01 grid
+        for start in (0.0, BOUNDARY_START):
+            v = t - start
+            for j, vj in enumerate((np.nextafter(v, 0.0), v, np.nextafter(v, 1.0))):
+                rows.append((f"b{k}-{start}-{j}", float(vj), float(t), Cause.PREVENTABLE))
+    rows += [(f"tv{k}", 0.25, float(t), Cause.PREVENTABLE) for k, t in enumerate(np.round(rng.uniform(0.3, 1, 40), 2))]
+    rows += [(f"c{k}", float(v), 1.0, Cause.CENSORED) for k, v in enumerate(np.round(rng.uniform(0, 1, 80), 1))]
+    rows += [(f"n{k}", None, float(t), Cause.PREVENTABLE) for k, t in enumerate(np.round(rng.uniform(0, 1, 40), 2))]
+    return make_records(rows, horizon=1.0)
 
 
 # covariates (1, 0, 1): events at t=1, 2 for the first two; third at risk throughout
@@ -118,6 +144,7 @@ class TestPartialLikelihood:
             (simulate_cohort(ScenarioSpec(n=1500, seed=43))[0], 0.1),
             (make_records(TIE_ROWS), 0.3),
             (day_unit_boundary_cohort(), 14 / DAYS_PER_YEAR),
+            (boundary_ties_cohort(), BOUNDARY_START),
         ):
             basis = VEBasisSpec(kind, ramp_length=ramp_length if kind == "ramp" else None)
             for _ in range(4):
@@ -184,6 +211,28 @@ class TestRiskSets:
         fit_a = fit_cox_tv(ds, CONST)
         fit_b = fit_cox_tv(extra, CONST)
         assert fit_a.beta[0] == pytest.approx(fit_b.beta[0], abs=1e-12)
+
+
+    @pytest.mark.parametrize("start", [0.0, BOUNDARY_START, 14 / DAYS_PER_YEAR, np.inf])
+    def test_first_reached_is_the_exact_test(self, start):
+        # searched in sorted order and scattered back, per V the first event time
+        # with fl(t - V) >= start, over tied V and V on the fl(V + start) boundary
+        for ds in (boundary_ties_cohort(), day_unit_boundary_cohort()):
+            arr = ds.arrays()
+            times = np.unique(arr["time"][arr["cause"] == 1])
+            v = arr["vax"][~np.isnan(arr["vax"])]
+            reached = times[None, :] - v[:, None] >= start
+            want = np.where(reached.any(axis=1), reached.argmax(axis=1), times.size)
+            assert np.array_equal(_first_reached(times, v, np.argsort(v), start), want)
+
+    def test_running_sum_keeps_the_bits_of_a_sum_from_zero(self, rng):
+        # `sum()` starts from the integer 0, which turns a -0.0 into +0.0; no
+        # prefix sum is -0.0, so adding the two directly keeps every bit
+        n_times = 40
+        for w in (rng.normal(0, 1, 300), np.zeros(300), -np.zeros(300), np.exp(rng.normal(0, 20, 300))):
+            ends = rng.integers(0, n_times + 1, 600)
+            got, want = _running_sum(ends, w, n_times), running_sum_by_sum(ends, w, n_times)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestTimeTransform:

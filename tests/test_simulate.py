@@ -8,7 +8,7 @@ from scipy.stats import kendalltau, ks_2samp
 
 import vewane.simulate
 from vewane.bench import preset_scenarios
-from vewane.core import VEBasisSpec, write_events_csv
+from vewane.core import RowIds, VEBasisSpec, write_events_csv
 from vewane.simulate import (
     LatentDraw,
     ScenarioSpec,
@@ -18,11 +18,10 @@ from vewane.simulate import (
     simulate_cohort,
     simulate_cohort_views,
     substream_seed,
-    _participant_ids,
     _rng,
 )
 
-from .oracles import invert_by_bisection
+from .oracles import invert_by_bisection, participant_ids
 
 # frozen from a one-off n=1e6 run (seed 777) of the default scenario
 REFERENCE_RATES = {"irrelevant": 0.043546, "preventable": 0.057876}
@@ -223,6 +222,23 @@ class TestInversionMatchesBisection:
                 got = invert_cumulative_hazard(sc, latent, cause, deviates[cause])
                 assert_same_times(got, invert_by_bisection(sc, latent, cause, deviates[cause]))
 
+    @pytest.mark.parametrize("horizon", [1.0, 2.5, 0.75, 3.0, 2047 / 1024, 1023 / 256, 4095 / 2048, 0.7])
+    def test_replay_is_the_halving_path(self, horizon, rng):
+        # closed form up to an 11-bit horizon mantissa, halvings above it; over
+        # grid points of every level and their float neighbours, values outside
+        # [0, horizon], NaN, infinities, signed zeros and a subnormal
+        levels = vewane.simulate._REPLAY_LEVELS
+        grid = rng.integers(0, 2**18, 600) * (horizon / 2.0 ** rng.integers(18, 43, 600))
+        t_hat = np.concatenate([
+            grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf), rng.uniform(-0.1, 1.1, 600) * horizon,
+            [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, horizon, np.nextafter(horizon, 9.0)],
+        ])
+        got = vewane.simulate._replay(t_hat, horizon, levels)
+        want = vewane.simulate._halving_path(t_hat, horizon, levels)
+        for level in levels:
+            for a, b in zip(got[level], want[level]):
+                assert a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("offset,levels", [(2.0**-33, 19), (0.05, 45)])
     def test_wrong_estimate_falls_back(self, monkeypatch, offset, levels):
         # an estimate off by many bisection steps fails its checks; those rows
@@ -367,8 +383,9 @@ class TestSimulateCohort:
             assert abs(math.log(odds / base_odds) - (-1.0)) < 0.2
 
     def test_participant_ids(self):
-        assert _participant_ids(3) == ["p000000", "p000001", "p000002"]
-        assert _participant_ids(1_000_001)[-2:] == ["p999999", "p1000000"]
+        first, followup, _ = simulate_cohort_views(ScenarioSpec(n=3, seed=1))
+        assert isinstance(first.ids, RowIds) and first.ids is followup.ids
+        assert first.ids == ["p000000", "p000001", "p000002"] == participant_ids(3)
 
     def test_substream_seed_stable(self):
         assert substream_seed(7, 3) == substream_seed(7, 3)

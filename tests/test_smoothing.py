@@ -19,7 +19,14 @@ from vewane.smoothing import (
 
 from vewane.core import VEBasisSpec, eval_ve_basis
 
-from .oracles import isotonic_by_partition, kernel_smooth_dense, max_rel_err, naive_bspline_row, pava_loop
+from .oracles import (
+    isotonic_by_partition,
+    kernel_smooth_dense,
+    max_rel_err,
+    naive_bspline_row,
+    pava_loop,
+    spline_smooth_one_column,
+)
 
 
 class TestBSpline:
@@ -139,6 +146,58 @@ class TestWeightedSplineSmooth:
         fn2 = weighted_spline_smooth(x[perm], y[perm], w[perm])
         grid = np.linspace(x.min(), x.max(), 17)
         assert np.allclose(fn1(grid), fn2(grid), atol=1e-9)
+
+
+def assert_same_spline(got, want):
+    assert isinstance(got, SplineFn) and got.basis == want.basis
+    assert got.coef.tobytes() == want.coef.tobytes()
+    assert (got.gcv_lambda, got.fallback) == (want.gcv_lambda, want.fallback)
+
+
+def _spline_cases():
+    rng = np.random.default_rng(7)
+    n = 400
+    x = rng.uniform(0, 1, n)
+    y = np.column_stack([np.sin(4 * x) + rng.normal(0, 0.3, n), rng.normal(0, 1, n), np.zeros(n)])
+    w = rng.uniform(0.05, 0.25, n)
+    tied = np.round(x, 1)
+    zero_w = np.where(rng.random(n) < 0.4, 0.0, w)
+    return {
+        "random": (x, y, w, None),
+        "tied x": (tied, y, w, None),
+        "zero weights": (x, y, zero_w, None),
+        "tied x, zero weights, 6 knots": (tied, y, zero_w, 6),
+        "lo == hi": (np.full(n, 0.3), y, w, None),
+        "too few active points": (x[:8], y[:8], np.r_[1.0, 1.0, np.zeros(6)], 6),
+        "one column": (x, y[:, :1], w, None),
+    }
+
+
+class TestMultiColumnSpline:
+    """A y of shape (n, k) shares the basis and the GCV hat traces across its
+    columns; each fit equals the one-column oracle bit for bit."""
+
+    @pytest.mark.parametrize("case", list(_spline_cases()))
+    def test_columns_match_one_column_oracle(self, case):
+        x, y, w, n_knots = _spline_cases()[case]
+        fits = weighted_spline_smooth(x, y, w, n_knots=n_knots)
+        assert isinstance(fits, list) and len(fits) == y.shape[1]
+        for j, fit in enumerate(fits):
+            assert_same_spline(fit, spline_smooth_one_column(x, y[:, j], w, n_knots=n_knots))
+            assert_same_spline(weighted_spline_smooth(x, y[:, j], w, n_knots=n_knots), fit)
+
+    def test_fallback_cases_fall_back(self):
+        cases = _spline_cases()
+        for case in ("lo == hi", "too few active points"):
+            x, y, w, n_knots = cases[case]
+            assert all(fn.fallback for fn in weighted_spline_smooth(x, y, w, n_knots=n_knots))
+
+    def test_bad_shapes_rejected(self):
+        x = np.linspace(0, 1, 10)
+        with pytest.raises(ValueError):
+            weighted_spline_smooth(x, np.ones((9, 2)), np.ones(10))
+        with pytest.raises(ValueError):
+            weighted_spline_smooth(x, np.ones((10, 2, 1)), np.ones(10))
 
 
 class TestKernelSmooth:

@@ -1,8 +1,8 @@
 """The benchmark tracer (perfbench/tracing.py) patches names in vewane by
 attribute: every span target, `Dataset.arrays` and the `Dataset._arrays` cache
 it reads.  Installing it here makes a renamed or deleted target fail this
-suite instead of only a traced benchmark run, and the CLI run below fails when
-a command stops calling a traced name."""
+suite instead of only a traced benchmark run, and the CLI and bench runs below
+fail when a command or a replicate stops calling a traced name."""
 
 import contextlib
 import io
@@ -45,3 +45,17 @@ def test_cli_fit_and_mc_curve_record_their_spans(monkeypatch, tmp_path):
                     "--out", str(curve)]) == 0
     names = {s.name for s in tracer.spans}
     assert {"cli.command", "core.csv_read", "sieve.fit", "report.curve", "report.mc"} <= names
+
+
+def test_bench_replicate_records_its_spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    scenario = ScenarioSpec(n=1500, beta_true=(-1.0, 1.0), seed=3)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        (rep,) = tracing.vewane.bench.run_scenario(scenario, ("cox", "sieve", "tmle"), n_reps=1, seed=5, workers=1)
+    assert all(fit["error"] is None for fit in rep["fits"].values())
+    names = {s.name for s in tracer.spans}
+    assert {"bench.run_scenario", "simulate.cohort", "cox.fit", "sieve.fit", "tmle.fit", "smoothing.fit"} <= names
+    assert sum(s.counts.get("hazard_rows", 0) for s in tracer.spans) > 0  # the inversion calls `cumulative_hazard`
