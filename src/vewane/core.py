@@ -301,33 +301,78 @@ def write_events_csv(dataset: Dataset, path) -> None:
 _REQUIRED_COLUMNS = frozenset({"id", "vax_time", "event_time", "cause"})
 
 
-def _csv_columns(text: str) -> tuple[list[str], list[list[str | None]]]:
-    """(header, one list of field strings per header column) of CSV text, blank
-    lines skipped; a field that a short row lacks reads as None.
+def _aligned_columns(text: str) -> tuple[list[str], list[list[str]]] | None:
+    """(header, one list of field strings per header column) of CSV text with no
+    quote character whose every line ends in the first line's ending (`\n` or
+    `\r\n`) and has the first line's comma count, from one comma split; None
+    for any other text.
 
-    Text with no quote character whose rows all have the header's field count
-    is split as one flat field list and sliced by stride.  Any other text is
-    parsed by `csv.reader`, the only path that unquotes fields."""
-    flat = text.replace("\r\n", "\n")
-    lines = flat.split("\n")
-    header = lines[0].split(",")
-    rows = list(filter(None, lines[1:]))
-    width = len(header)
-    if '"' not in flat and "\r" not in flat and set(map(str.count, rows, repeat(","))) <= {width - 1}:
-        fields = ",".join(rows).split(",") if rows else []
-        return header, [fields[j::width] for j in range(width)]
+    With w - 1 commas per line, every (w - 1)-th field of the split holds one
+    line's last field, a line ending and the next line's first field.  Each of
+    them holding exactly one line ending, and the text holding no other `\n` or
+    `\r`, is what proves every line has w fields.  A missing final line ending
+    is read as though it were there."""
+    first = text.find("\n")
+    if first < 0 or '"' in text:
+        return None
+    step = text.count(",", 0, first)
+    if step == 0:
+        return None
+    eol = "\r\n" if text[first - 1 : first] == "\r" else "\n"
+    if not text.endswith(eol):
+        text += eol
+    parts = text.split(",")
+    joints = parts[step::step]
+    n_lines = len(joints)
+    if (
+        (len(parts) - 1) % step
+        or text.count("\n") != n_lines
+        or text.count("\r") != (n_lines if eol == "\r\n" else 0)
+        or not all(map(operator.contains, joints, repeat(eol)))
+    ):
+        return None
+    ends = eol.join(joints).split(eol)  # each line's last field, then the next line's first
+    lasts, firsts = ends[0::2], ends[1::2]
+    middle = [parts[step + j :: step] for j in range(1, step)]
+    return parts[:step] + lasts[:1], [firsts[:-1], *middle, lasts[1:]]
+
+
+def _reader_columns(text: str) -> tuple[list[str], list[list[str | None]]]:
+    """(header, one list of field strings per header column) of CSV text parsed
+    by `csv.reader`, blank lines skipped; a field that a short row lacks reads
+    as None."""
     reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, [])
     rows = [row for row in reader if row]
     return header, [[row[j] if j < len(row) else None for row in rows] for j in range(len(header))]
 
 
+_UNKNOWN_CAUSE = 2  # not a cause code: marks a cause name outside `Cause`
+
+
+def _numbers(fields: list, convert, blank, n: int, dtype) -> np.ndarray:
+    """convert(field.strip()) of each field, `blank` for a missing (None), empty
+    or whitespace-only one.  Fields are converted unstripped first: where
+    `float` or `int` accepts a padded field, the padding it skips is whitespace
+    that `str.strip` removes too, so the value is the same.  A field they reject
+    (whitespace only, say) sends the column through `str.strip` field by field."""
+    try:
+        return np.fromiter((convert(f) if f else blank for f in fields), dtype, n)
+    except ValueError:
+        return np.fromiter((convert(f.strip()) if f and not f.isspace() else blank for f in fields), dtype, n)
+
+
 def read_events_csv(path, horizon: float | None = None, time_unit: str = "years") -> Dataset:
     """Read the events CSV into columns; an empty vax_time means never vaccinated
     and an empty or missing strain means none (NaN and 0 in the columns).  Blank
-    lines are skipped, and violation indices count data rows after them."""
+    lines are skipped, and violation indices count data rows after them.
+
+    Text that `_aligned_columns` accepts is split on commas once; any other
+    text (quotes, lone or mixed `\r`, blank lines, ragged rows, one column) is
+    parsed by `csv.reader`.  Both give the same fields."""
     with open(path, newline="") as fh:
-        header, fields = _csv_columns(fh.read())
+        text = fh.buffer.read().decode(fh.encoding, fh.errors)
+    header, fields = _aligned_columns(text) or _reader_columns(text)
     col = {name: k for k, name in enumerate(header)}
     if not _REQUIRED_COLUMNS.issubset(col):
         raise DatasetValidationError(
@@ -339,22 +384,29 @@ def read_events_csv(path, horizon: float | None = None, time_unit: str = "years"
         raise DatasetValidationError(
             [Violation(k, "row", f"fewer than {need} fields") for k, f in enumerate(last_required) if f is None]
         )
+    n = len(last_required)
     codes = {c.value: code for c, code in _CAUSE_CODE.items()}
     raw_cause = fields[col["cause"]]
-    cause = list(map(codes.get, map(str.strip, raw_cause)))
-    if None in cause:
-        k = cause.index(None)
+    cause = np.fromiter(map(codes.get, raw_cause, repeat(_UNKNOWN_CAUSE)), np.int64, n)
+    if np.any(cause == _UNKNOWN_CAUSE):  # padded names, or unknown ones
+        cause = np.fromiter(map(codes.get, map(str.strip, raw_cause), repeat(_UNKNOWN_CAUSE)), np.int64, n)
+    unknown = np.flatnonzero(cause == _UNKNOWN_CAUSE)
+    if unknown.size:
+        k = int(unknown[0])
         raise DatasetValidationError([Violation(k, "cause", f"unknown cause {raw_cause[k]!r}")])
     columns = {
         "id": fields[col["id"]],
-        "vax": [float(v) if v else math.nan for v in map(str.strip, fields[col["vax_time"]])],
-        "time": list(map(float, fields[col["event_time"]])),
+        "vax": _numbers(fields[col["vax_time"]], float, math.nan, n, float),
+        "time": np.fromiter(map(float, fields[col["event_time"]]), float, n),
         "cause": cause,
     }
     if "strain" in col:
-        columns["strain"] = [int(s.strip() or 0) if s else 0 for s in fields[col["strain"]]]
+        columns["strain"] = _numbers(fields[col["strain"]], int, 0, n, np.int64)
     if horizon is None:
-        horizon = max(columns["time"], default=0.0)
+        # Python's max of the times: a positive np.max is the same float (a NaN
+        # makes it NaN, and ties of a positive value share their bits)
+        top = columns["time"].max(initial=-math.inf)
+        horizon = float(top) if top > 0 else max(columns["time"].tolist(), default=0.0)
     return validate_dataset(columns, horizon, time_unit)
 
 

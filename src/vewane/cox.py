@@ -75,13 +75,14 @@ def _running_sum(ends: np.ndarray, w: np.ndarray, n_times: int) -> np.ndarray:
     still in by many orders of magnitude.  So w is split into a part on a grid
     of 2^-30 max|w|, whose sums are exact (below 2^53 grid steps for n < 2^23),
     and a remainder below half a step, whose rounding then stays negligible.
+    `ends` holds the entries, then the exits: each part enters as x and leaves
+    as -x (the split is sign-symmetric, so this is the split of -w).
     """
-    w = np.concatenate([w, -w])
     step = 2.0 ** (np.frexp(np.max(np.abs(w), initial=0.0))[1] - 30)
     coarse = np.round(w / step) * step
 
     def prefix(x):
-        return np.bincount(ends, x, minlength=n_times + 1)[:n_times].cumsum()
+        return np.bincount(ends, np.concatenate([x, -x]), minlength=n_times + 1)[:n_times].cumsum()
 
     return prefix(coarse) + prefix(w - coarse)
 

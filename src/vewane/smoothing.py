@@ -136,6 +136,7 @@ class SplineFn(SmoothFn):
     coef: np.ndarray
     gcv_lambda: float | None = None
     fallback: bool = False  # true when the fit degraded to a global weighted mean
+    _fitted = None  # B @ coef at the fitted x, kept by the GCV pass for one `_fitted_values`
 
     def __post_init__(self):
         self.coef = np.asarray(self.coef, dtype=float)
@@ -448,7 +449,8 @@ def _spline_fits(x, columns, w, penalty_order, n_knots, domain, degree, placemen
     def mean_fits(basis):
         return [SplineFn(basis, np.full(basis.dimension, np.average(y, weights=w)), None, True) for y in columns]
 
-    if domain is None:
+    own_range = domain is None  # then B is what fn(x) builds, the clip a no-op
+    if own_range:
         domain = (float(x.min()), float(x.max()))
     lo, hi = domain
     if not lo < hi:
@@ -480,14 +482,29 @@ def _spline_fits(x, columns, w, penalty_order, n_knots, domain, degree, placemen
             continue
         denom = max(1.0 - hat_trace / n, 1e-10)
         for j, (y, coef) in enumerate(zip(columns, coefs)):
-            resid = y - B @ coef
+            fitted = B @ coef
+            resid = y - fitted
             rss = float(np.sum(w * resid * resid)) / n
             gcv = rss / denom**2
             if best[j] is None or gcv < best[j][0] - 1e-15:
-                best[j] = (gcv, lam, coef)
+                best[j] = (gcv, lam, coef, fitted)
     if None in best:  # a singular system fails every column alike
         return mean_fits(basis)
-    return [SplineFn(basis, coef, lam, False) for _, lam, coef in best]
+    fits = []
+    for _, lam, coef, fitted in best:
+        fn = SplineFn(basis, coef, lam, False)
+        if own_range:
+            fn._fitted = fitted
+        fits.append(fn)
+    return fits
+
+
+def _fitted_values(fn: SmoothFn, x) -> np.ndarray:
+    """fn(x) at the x that `fn` was fitted on.  A p-spline fit hands over its
+    GCV pass's B @ coef once (the same bits: clipping x to its own range is a
+    no-op, so fn(x) would rebuild the same B); any other fit is evaluated."""
+    fitted = fn.__dict__.pop("_fitted", None)
+    return fn(x) if fitted is None else fitted
 
 
 def silverman_bandwidth(x, w=None) -> float:

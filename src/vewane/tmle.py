@@ -38,6 +38,7 @@ from .smoothing import (
     BSplineBasis,
     SmoothFn,
     SplineFn,
+    _fitted_values,
     kernel_smooth,
     silverman_bandwidth,
     weighted_spline_smooth,
@@ -232,7 +233,7 @@ def _tmle_engine(
             scale = (Q[:, k] * (1.0 - qtot)) * ratio
             vals = design.X_ve[k] * scale[:, None]
             fns = estimate_r(T, vals, b, smoother, kernel, bandwidth)
-            rv = np.column_stack([fn(T) for fn in fns])
+            rv = np.column_stack([_fitted_values(fn, T) for fn in fns])
             r_fns.append(fns)
             r_vals.append(rv)
             H_blocks.append(design.X_ve[k] - rv)
@@ -262,7 +263,7 @@ def _tmle_engine(
             w_star = qs_tot * (1.0 - qs_tot)
             fn = weighted_spline_smooth(T, target, w_star)
             alpha_fn = fn
-            c_vec = fn(T)
+            c_vec = _fitted_values(fn, T)
         eta = predictors()
         Q_final, r_vals_final, r_fns_final = q_star, r_vals, r_fns
 

@@ -326,6 +326,18 @@ def running_sum_by_sum(ends, w, n_times):
     return sum(np.bincount(ends, x, minlength=n_times + 1)[:n_times].cumsum() for x in (coarse, w - coarse))
 
 
+def running_sum_concat(ends, w, n_times):
+    """`cox._running_sum` splitting the concatenated entries w and exits -w."""
+    w = np.concatenate([w, -w])
+    step = 2.0 ** (np.frexp(np.max(np.abs(w), initial=0.0))[1] - 30)
+    coarse = np.round(w / step) * step
+
+    def prefix(x):
+        return np.bincount(ends, x, minlength=n_times + 1)[:n_times].cumsum()
+
+    return prefix(coarse) + prefix(w - coarse)
+
+
 def participant_ids(n):
     """The ids a simulated cohort of n rows reads as, built as a list of strings."""
     return ("p%06d\n" * n % tuple(range(n))).split()

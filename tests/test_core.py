@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from vewane import core
 from vewane.core import (
     Cause,
     DatasetValidationError,
@@ -201,7 +202,54 @@ EVENTS_TEXTS = {
     "unknown cause": EVENTS_HEADER + "a,,0.5,censored,\n\nb,,0.7,sick,\n",
     "invalid values": EVENTS_HEADER + "a,-1,0.5,censored,2\na,,0.7,irrelevant,\n",
     "header only": EVENTS_HEADER,
+    "lf no final ending": EVENTS_HEADER + "a,0.25,0.5,preventable,1\nb,,0.75,censored,",
+    "crlf no final ending": EVENTS_HEADER.replace("\n", "\r\n") + "a,0.25,0.5,preventable,1\r\nb,,0.75,censored,2",
+    "compensating ragged rows": EVENTS_HEADER + "a,0.25,0.5,preventable,1,9\nb,,0.75,irrelevant\nc,0.1,0.2,censored,\n",
+    "compensating ragged rows apart": EVENTS_HEADER
+    + "a,0.25,0.5,preventable,1,x,y\nb,,0.75,irrelevant,\nc,0.1,0.2,censored\nd,,0.3,censored\n",
+    "lone cr inside a field": EVENTS_HEADER + "a,0.25,0.5,preventable,1\rb,,0.75,censored,\nc,,0.8,irrelevant,\n",
+    "blank final line": EVENTS_HEADER + "a,0.25,0.5,preventable,1\nb,,0.75,censored,\n\n",
+    "padded": EVENTS_HEADER + "a, 0.25\t, 0.5 ,\tpreventable , 2 \n b ,\t,0.75 ,irrelevant\t,\t\n",
+    "non-ascii ids": EVENTS_HEADER + "é1,0.25,0.5,preventable,1\nβ-2,,0.75,irrelevant,\n",
+    "one column": "id\na\nb\n",
+    "empty file": "",
+    "crlf header only": EVENTS_HEADER.replace("\n", "\r\n"),
 }
+# the cases read by one comma split; every other case is parsed by `csv.reader`
+ALIGNED_CASES = {
+    "no strain column", "spaces", "nan vax", "invalid values", "header only", "lf no final ending",
+    "crlf no final ending", "padded", "non-ascii ids", "crlf header only",
+}
+
+
+def _padded(draw, field: str) -> str:
+    return draw(st.sampled_from(["", " ", "\t"])) + field + draw(st.sampled_from(["", " ", "  "]))
+
+
+@st.composite
+def events_texts(draw):
+    """Events CSV texts with any line endings, blank lines, padded fields,
+    `repr` floats and empty vax and strain fields."""
+    floats = st.floats(0.0, 2.0, allow_nan=False).map(repr)
+    eols = st.sampled_from(["\n", "\r\n"] if draw(st.booleans()) else ["\n", "\r\n", "\r"])
+    lines = ["id,vax_time,event_time,cause,strain"]
+    for k in range(draw(st.integers(0, 8))):
+        cause = draw(st.sampled_from(["censored", "irrelevant", "preventable"]))
+        strain = draw(st.sampled_from(["", "1", "2"])) if cause == "preventable" else ""
+        fields = [
+            draw(st.text("abé9-_", min_size=1, max_size=4)) + str(k),
+            _padded(draw, draw(st.sampled_from(["", "nan"]) | floats)),
+            _padded(draw, draw(floats)),
+            _padded(draw, cause),
+            _padded(draw, strain),
+        ]
+        lines.append(",".join(fields))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")  # a blank line
+    eol = draw(eols)
+    ends = [eol if draw(st.integers(0, 4)) else draw(eols) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text[: -len(ends[-1])]
 
 
 def _read_or_violations(read, path):
@@ -266,6 +314,32 @@ class TestEventsCsv:
         path = tmp_path / "events.csv"
         with open(path, "w", newline="") as fh:
             fh.write(EVENTS_TEXTS[case])
+        assert_reads_like_oracle(path)
+
+    @pytest.mark.parametrize("case", sorted(EVENTS_TEXTS))
+    def test_read_path(self, case):
+        assert (core._aligned_columns(EVENTS_TEXTS[case]) is not None) == (case in ALIGNED_CASES)
+
+    @pytest.mark.parametrize("eol", ["\r\n", "\n"])
+    def test_written_file_is_split_once(self, eol, tmp_path, monkeypatch):
+        ds, _ = simulate_cohort(ScenarioSpec(n=2000, beta_true=(-1.0, 1.0), seed=23))
+        path = tmp_path / "events.csv"
+        write_events_csv(ds, path)
+        path.write_bytes(path.read_bytes().replace(b"\r\n", eol.encode()))
+
+        def no_fallback(text):
+            raise AssertionError("csv.reader fallback taken")
+
+        monkeypatch.setattr(core, "_reader_columns", no_fallback)
+        assert_reads_like_oracle(path)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_generated_texts_match_oracle(self, data, tmp_path):
+        text = data.draw(events_texts())
+        path = tmp_path / "events.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
         assert_reads_like_oracle(path)
 
     def test_short_row_is_a_violation(self, tmp_path):

@@ -23,6 +23,7 @@ from .oracles import (
     finite_diff_jacobian,
     max_rel_err,
     running_sum_by_sum,
+    running_sum_concat,
 )
 
 CONST = VEBasisSpec("constant")
@@ -233,6 +234,17 @@ class TestRiskSets:
             ends = rng.integers(0, n_times + 1, 600)
             got, want = _running_sum(ends, w, n_times), running_sum_by_sum(ends, w, n_times)
             assert got.tobytes() == want.tobytes()
+
+    def test_running_sum_splits_half_the_weights(self, rng):
+        # the split is sign-symmetric, and a bin starting at +0.0 absorbs a -0.0
+        for trial in range(200):
+            n, n_times = int(rng.integers(1, 400)), int(rng.integers(1, 50))
+            scale = 10.0 ** rng.uniform(-5, 5)
+            w = rng.choice([rng.normal(0, scale, n), rng.exponential(scale, n), np.zeros(n), -np.zeros(n)])
+            w[rng.random(n) < 0.2] = rng.choice([0.0, -0.0, scale])
+            ends = rng.integers(0, n_times + 1, 2 * n)
+            got, want = _running_sum(ends, w, n_times), running_sum_concat(ends, w, n_times)
+            assert got.tobytes() == want.tobytes(), trial
 
 
 class TestTimeTransform:

@@ -8,6 +8,7 @@ from vewane.smoothing import (
     BSplineBasis,
     KernelFn,
     SplineFn,
+    _fitted_values,
     bspline_eval,
     kernel_smooth,
     knot_rule,
@@ -185,6 +186,21 @@ class TestMultiColumnSpline:
         for j, fit in enumerate(fits):
             assert_same_spline(fit, spline_smooth_one_column(x, y[:, j], w, n_knots=n_knots))
             assert_same_spline(weighted_spline_smooth(x, y[:, j], w, n_knots=n_knots), fit)
+
+    @pytest.mark.parametrize("case", list(_spline_cases()))
+    def test_fitted_values_are_the_evaluated_fits(self, case):
+        x, y, w, n_knots = _spline_cases()[case]
+        for fn in weighted_spline_smooth(x, y, w, n_knots=n_knots):
+            want = fn(x)
+            assert _fitted_values(fn, x).tobytes() == want.tobytes()
+            assert _fitted_values(fn, x).tobytes() == want.tobytes()  # handed over once, then evaluated
+
+    def test_fitted_values_with_a_narrower_domain(self):
+        # the GCV pass clips x to the domain, where fn(x) rejects points outside it
+        x, y, w, _ = _spline_cases()["random"]
+        fn = weighted_spline_smooth(x, y[:, 0], w, domain=(0.2, 0.8))
+        with pytest.raises(ValueError, match="outside boundary"):
+            _fitted_values(fn, x)
 
     def test_fallback_cases_fall_back(self):
         cases = _spline_cases()

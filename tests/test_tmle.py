@@ -6,7 +6,8 @@ import pytest
 from vewane.core import Cause, FitResult, VEBasisSpec, VewaneError
 from vewane.sieve import default_alpha_basis, fit_sieve_binary
 from vewane.simulate import ScenarioSpec, simulate_cohort
-from vewane.smoothing import KernelFn, bspline_eval
+from vewane import smoothing, tmle
+from vewane.smoothing import KernelFn, _fitted_values, bspline_eval
 from vewane.surveillance import VariantMix
 from vewane.tmle import (
     eic_values,
@@ -50,6 +51,28 @@ class TestEstimateR:
             r = estimate_r(T, tau[:, None], w, smoother=smoother)[0]
             grid = np.linspace(0.3, 0.9, 7)
             assert np.max(np.abs(r(grid) - grid / 2)) < 0.05
+
+    def test_r_values_are_the_evaluated_fits(self, rng):
+        # the GCV pass's B @ coef at T has the bits of fn(T), which rebuilds B
+        T = rng.uniform(0.2, 1.3, 700)
+        vals = np.column_stack([np.sin(3 * T), T**2, rng.normal(0, 1, 700)])
+        w = rng.uniform(0.0, 0.25, 700)
+        fns = estimate_r(T, vals, w)
+        got = [_fitted_values(fn, T) for fn in fns]
+        assert all(g.tobytes() == fn(T).tobytes() for g, fn in zip(got, fns))
+        assert all(fn.to_dict() == smoothing.SplineFn(fn.basis, fn.coef, fn.gcv_lambda).to_dict() for fn in fns)
+        for smoother in ("pspline", "kernel"):  # a second read, or a kernel fit, evaluates
+            fn = estimate_r(T, vals[:, :1], w, smoother=smoother)[0]
+            assert _fitted_values(fn, T).tobytes() == fn(T).tobytes()
+            assert _fitted_values(fn, T).tobytes() == fn(T).tobytes()
+
+    def test_fit_matches_evaluating_each_smooth(self, small_cohort, monkeypatch):
+        _, ds, _ = small_cohort
+        fast = fit_tmle_binary(ds, LINEAR)
+        monkeypatch.setattr(tmle, "_fitted_values", lambda fn, x: fn(x))
+        slow = fit_tmle_binary(ds, LINEAR)
+        assert fast.beta.tobytes() == slow.beta.tobytes() and fast.beta_cov.tobytes() == slow.beta_cov.tobytes()
+        assert fast.to_dict() == slow.to_dict()
 
     def test_degenerate_weights_rejected(self):
         with pytest.raises(VewaneError):
