@@ -350,18 +350,6 @@ def _reader_columns(text: str) -> tuple[list[str], list[list[str | None]]]:
 _UNKNOWN_CAUSE = 2  # not a cause code: marks a cause name outside `Cause`
 
 
-def _numbers(fields: list, convert, blank, n: int, dtype) -> np.ndarray:
-    """convert(field.strip()) of each field, `blank` for a missing (None), empty
-    or whitespace-only one.  Fields are converted unstripped first: where
-    `float` or `int` accepts a padded field, the padding it skips is whitespace
-    that `str.strip` removes too, so the value is the same.  A field they reject
-    (whitespace only, say) sends the column through `str.strip` field by field."""
-    try:
-        return np.fromiter((convert(f) if f else blank for f in fields), dtype, n)
-    except ValueError:
-        return np.fromiter((convert(f.strip()) if f and not f.isspace() else blank for f in fields), dtype, n)
-
-
 def read_events_csv(path, horizon: float | None = None, time_unit: str = "years") -> Dataset:
     """Read the events CSV into columns; an empty vax_time means never vaccinated
     and an empty or missing strain means none (NaN and 0 in the columns).  Blank
@@ -387,26 +375,23 @@ def read_events_csv(path, horizon: float | None = None, time_unit: str = "years"
     n = len(last_required)
     codes = {c.value: code for c, code in _CAUSE_CODE.items()}
     raw_cause = fields[col["cause"]]
-    cause = np.fromiter(map(codes.get, raw_cause, repeat(_UNKNOWN_CAUSE)), np.int64, n)
-    if np.any(cause == _UNKNOWN_CAUSE):  # padded names, or unknown ones
-        cause = np.fromiter(map(codes.get, map(str.strip, raw_cause), repeat(_UNKNOWN_CAUSE)), np.int64, n)
+    cause = np.fromiter(map(codes.get, map(str.strip, raw_cause), repeat(_UNKNOWN_CAUSE)), np.int64, n)
     unknown = np.flatnonzero(cause == _UNKNOWN_CAUSE)
     if unknown.size:
         k = int(unknown[0])
         raise DatasetValidationError([Violation(k, "cause", f"unknown cause {raw_cause[k]!r}")])
+    vax = (float(v) if v else math.nan for v in map(str.strip, fields[col["vax_time"]]))
     columns = {
         "id": fields[col["id"]],
-        "vax": _numbers(fields[col["vax_time"]], float, math.nan, n, float),
+        "vax": np.fromiter(vax, float, n),
         "time": np.fromiter(map(float, fields[col["event_time"]]), float, n),
         "cause": cause,
     }
     if "strain" in col:
-        columns["strain"] = _numbers(fields[col["strain"]], int, 0, n, np.int64)
+        strain = (int(s.strip() or 0) if s else 0 for s in fields[col["strain"]])
+        columns["strain"] = np.fromiter(strain, np.int64, n)
     if horizon is None:
-        # Python's max of the times: a positive np.max is the same float (a NaN
-        # makes it NaN, and ties of a positive value share their bits)
-        top = columns["time"].max(initial=-math.inf)
-        horizon = float(top) if top > 0 else max(columns["time"].tolist(), default=0.0)
+        horizon = max(columns["time"].tolist(), default=0.0)
     return validate_dataset(columns, horizon, time_unit)
 
 

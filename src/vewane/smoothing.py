@@ -136,11 +136,14 @@ class SplineFn(SmoothFn):
     coef: np.ndarray
     gcv_lambda: float | None = None
     fallback: bool = False  # true when the fit degraded to a global weighted mean
-    _fitted = None  # B @ coef at the fitted x, kept by the GCV pass for one `_fitted_values`
+    _fitted = None  # (x, B @ coef at x), kept by the GCV pass for one `_fitted_values(fn, x)`
 
     def __post_init__(self):
         self.coef = np.asarray(self.coef, dtype=float)
         self.domain = self.basis.boundary
+
+    def __getstate__(self):  # copies and pickles leave the GCV pass's values behind
+        return {k: v for k, v in self.__dict__.items() if k != "_fitted"}
 
     def _eval(self, t):
         lo, hi = self.domain
@@ -494,17 +497,18 @@ def _spline_fits(x, columns, w, penalty_order, n_knots, domain, degree, placemen
     for _, lam, coef, fitted in best:
         fn = SplineFn(basis, coef, lam, False)
         if own_range:
-            fn._fitted = fitted
+            fn._fitted = (x, fitted)
         fits.append(fn)
     return fits
 
 
 def _fitted_values(fn: SmoothFn, x) -> np.ndarray:
-    """fn(x) at the x that `fn` was fitted on.  A p-spline fit hands over its
-    GCV pass's B @ coef once (the same bits: clipping x to its own range is a
-    no-op, so fn(x) would rebuild the same B); any other fit is evaluated."""
+    """fn(x).  A p-spline fit made on its own range hands over its GCV pass's
+    B @ coef once, when x is the very array (unchanged since) that the fit was
+    made on: the same bits, as clipping x to its own range is a no-op, so fn(x)
+    would rebuild the same B.  Any other call evaluates fn(x)."""
     fitted = fn.__dict__.pop("_fitted", None)
-    return fn(x) if fitted is None else fitted
+    return fitted[1] if fitted is not None and fitted[0] is x else fn(x)
 
 
 def silverman_bandwidth(x, w=None) -> float:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -194,6 +196,26 @@ class TestMultiColumnSpline:
             want = fn(x)
             assert _fitted_values(fn, x).tobytes() == want.tobytes()
             assert _fitted_values(fn, x).tobytes() == want.tobytes()  # handed over once, then evaluated
+
+    def test_fitted_values_at_another_x_are_evaluated(self):
+        # the GCV pass's values belong to the array the fit was made on, not to its length
+        x, y, w, _ = _spline_cases()["random"]
+        for other in (np.sort(x), x.copy()):
+            fn = weighted_spline_smooth(x, y[:, 0], w)
+            assert _fitted_values(fn, other).tobytes() == fn(other).tobytes()
+            assert _fitted_values(fn, x).tobytes() == fn(x).tobytes()
+        fn = weighted_spline_smooth(x, y[:, 0], w)
+        fitted = fn._fitted[1]
+        assert _fitted_values(fn, x) is fitted  # handed over at the very array
+
+    def test_copies_leave_the_fitted_values_behind(self):
+        x, y, w, _ = _spline_cases()["random"]
+        fn = weighted_spline_smooth(x, y[:, 0], w)
+        for twin in (copy.copy(fn), copy.deepcopy(fn), pickle.loads(pickle.dumps(fn))):
+            assert "_fitted" not in twin.__dict__
+            assert twin.to_dict() == fn.to_dict()
+            assert _fitted_values(twin, x).tobytes() == fn(x).tobytes()
+        assert "_fitted" in fn.__dict__
 
     def test_fitted_values_with_a_narrower_domain(self):
         # the GCV pass clips x to the domain, where fn(x) rejects points outside it

@@ -74,6 +74,20 @@ class TestEstimateR:
         assert fast.beta.tobytes() == slow.beta.tobytes() and fast.beta_cov.tobytes() == slow.beta_cov.tobytes()
         assert fast.to_dict() == slow.to_dict()
 
+    def test_fit_takes_the_gcv_values(self, small_cohort, monkeypatch):
+        # each p-spline smooth the targeting loop reads at T is handed over, not rebuilt
+        _, ds, _ = small_cohort
+        taken = []
+
+        def spy(fn, x):
+            fitted = fn._fitted
+            taken.append(fitted is not None and fitted[0] is x)
+            return smoothing._fitted_values(fn, x)
+
+        monkeypatch.setattr(tmle, "_fitted_values", spy)
+        fit_tmle_binary(ds, LINEAR)
+        assert taken and all(taken)
+
     def test_degenerate_weights_rejected(self):
         with pytest.raises(VewaneError):
             estimate_r(np.linspace(0, 1, 10), np.ones((10, 1)), np.zeros(10))
