@@ -18,7 +18,6 @@ from .core import (
     write_events_csv,
 )
 from .cox import cox_partial_loglik, fit_cox_tv
-from .estimators import CoxVE, SieveVE, TmleVE
 from .report import VECurve, monotone_ci_mc, monotonize_curve, read_curve, ve_curve, write_curve
 from .sieve import FixedOffset, build_design, fit_sieve_binary, fit_sieve_multinomial, loglik_derivs
 from .simulate import (

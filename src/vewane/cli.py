@@ -11,6 +11,7 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    DAYS_PER_YEAR,
     DatasetValidationError,
     FitResult,
     VEBasisSpec,
@@ -35,8 +36,6 @@ from .surveillance import (
     tt1_offset,
 )
 from .tmle import fit_tmle_binary, fit_tmle_multinomial
-
-DAYS_PER_YEAR = 365.0
 
 
 class UsageError(Exception):
@@ -91,7 +90,6 @@ def _build_parser() -> _Parser:
     pf.add_argument("--basis", default="linear", help="linear | constant | ramp:<days>")
     pf.add_argument("--time-unit", default="years", choices=["years", "days"])
     pf.add_argument("--knots", type=int)
-    pf.add_argument("--knot-rule", default="n^(1/3.5)", help="only n^(1/3.5) is defined")
     pf.add_argument("--knot-placement", default="quantile", choices=["quantile", "even"])
     pf.add_argument("--offset", help="offset JSON table (surveillance-derived)")
     pf.add_argument("--offset-smooth", action="store_true", help="pre-smooth the offset table")
@@ -184,8 +182,6 @@ def _cmd_fit(args) -> int:
         ]:
             if flag:
                 raise UsageError(f"{name} cannot be combined with --method cox")
-    if args.knot_rule != "n^(1/3.5)":
-        raise UsageError(f"unknown knot rule {args.knot_rule!r}; only n^(1/3.5) is defined")
     basis = _parse_basis(args.basis)
     dataset = read_events_csv(args.events, time_unit=args.time_unit)
     if args.time_unit == "days":
@@ -231,7 +227,6 @@ def _cmd_fit(args) -> int:
         "basis": basis.to_dict(),
         "time_unit": args.time_unit,
         "knots": args.knots,
-        "knot_rule": args.knot_rule,
         "knot_placement": args.knot_placement,
         "offset": args.offset,
         "surveillance": args.surveillance,
@@ -248,7 +243,7 @@ def _cmd_fit(args) -> int:
     payload = fit.to_dict()
     payload["config"] = config
     with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=1)
+        fh.write(json.dumps(payload))
     _echo(config)
     return 0
 

@@ -15,6 +15,8 @@ from itertools import repeat
 
 import numpy as np
 
+DAYS_PER_YEAR = 365.0  # day-unit times and ramp lengths in days divide by this
+
 
 class VewaneError(Exception):
     """Base class for all library errors."""
@@ -272,13 +274,13 @@ def validate_dataset(columns: Mapping, horizon: float, time_unit: str = "years")
     return Dataset(ids, arrays, horizon, time_unit)
 
 
-def convert_to_years(dataset: Dataset, days_per_year: float = 365.0) -> Dataset:
+def convert_to_years(dataset: Dataset) -> Dataset:
     """Rescale a day-denominated dataset to years (the internal analysis scale)."""
     if dataset.time_unit == "years":
         return dataset
     a = dataset.arrays()
-    columns = dict(a, vax=a["vax"] / days_per_year, time=a["time"] / days_per_year)
-    return Dataset(dataset.ids, columns, dataset.horizon / days_per_year, "years")
+    columns = dict(a, vax=a["vax"] / DAYS_PER_YEAR, time=a["time"] / DAYS_PER_YEAR)
+    return Dataset(dataset.ids, columns, dataset.horizon / DAYS_PER_YEAR, "years")
 
 
 # -- events CSV (header: id,vax_time,event_time,cause,strain) --
@@ -421,9 +423,9 @@ class FitResult:
     def strain_block(self, strain: int) -> tuple[np.ndarray, np.ndarray, VEBasisSpec]:
         """(beta_s, cov_s, basis_s) for one strain of a multinomial fit."""
         if self.strains is None:
-            raise ValueError("not a multinomial fit")
+            raise VewaneError("not a multinomial fit")
         if strain not in self.strains:
-            raise ValueError(f"strain {strain} not in fit (has {self.strains})")
+            raise VewaneError(f"strain {strain} not in fit (has {self.strains})")
         k = self.strains.index(strain)
         dims = [b.dimension for b in self.basis]
         lo = sum(dims[:k])
@@ -450,7 +452,7 @@ class FitResult:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
+            fh.write(json.dumps(self.to_dict()))
 
     @staticmethod
     def from_dict(d: dict) -> "FitResult":

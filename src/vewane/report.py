@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import norm
 
-from .core import FitResult, VewaneError, ve_from_f, eval_ve_basis
+from .core import FitResult, NonIdentifiableError, VewaneError, ve_from_f, eval_ve_basis
 from .smoothing import pava_isotonic
 
 CURVE_COLUMNS = ["tau", "f_hat", "f_se", "ve", "ve_lo", "ve_hi"]
@@ -34,20 +34,28 @@ class VECurve:
         return self.f_mono is not None
 
 
+def _block(fit: FitResult, strain: int | None):
+    """(beta, cov, basis) of a binary fit (strain None) or of one strain of a
+    multinomial fit, raising VewaneError for any other strain or a block
+    flagged non-identifiable."""
+    if fit.strains is None:
+        if strain is not None:
+            raise VewaneError("strain given for a non-multinomial fit")
+        beta, cov, basis = fit.beta, fit.beta_cov, fit.basis
+    elif strain is None:
+        raise VewaneError("multinomial fit: pass strain=... to select a block")
+    else:
+        beta, cov, basis = fit.strain_block(strain)
+    if np.any(~np.isfinite(beta)):
+        raise NonIdentifiableError("requested block was flagged non-identifiable")
+    return beta, cov, basis
+
+
 def ve_curve(fit: FitResult, tau_grid, level: float = 0.95, strain: int | None = None) -> VECurve:
     """Delta-method curve: f_hat = beta' psi, se^2 = psi' Cov psi, VE bands from
     1 - exp(f_hat -+ z se) (the lower VE limit comes from the upper f limit)."""
     tau_grid = np.asarray(tau_grid, dtype=float)
-    if fit.strains is not None:
-        if strain is None:
-            raise VewaneError("multinomial fit: pass strain=... to select a block")
-        beta, cov, basis = fit.strain_block(strain)
-    else:
-        if strain is not None:
-            raise VewaneError("strain given for a non-multinomial fit")
-        beta, cov, basis = fit.beta, fit.beta_cov, fit.basis
-    if np.any(~np.isfinite(beta)):
-        raise VewaneError("requested block was flagged non-identifiable")
+    beta, cov, basis = _block(fit, strain)
     eigmin = float(np.min(np.linalg.eigvalsh((cov + cov.T) / 2))) if cov.size else 0.0
     if eigmin < -1e-8 * max(1.0, float(np.max(np.abs(cov)))):
         raise VewaneError("covariance is not positive semidefinite")
@@ -108,10 +116,7 @@ def monotone_ci_mc(
     f* over the grid (equal weights, all draws in one row-wise call), take
     pointwise quantiles."""
     tau_grid = np.asarray(tau_grid, dtype=float)
-    if fit.strains is not None:
-        beta, cov, basis = fit.strain_block(strain)
-    else:
-        beta, cov, basis = fit.beta, fit.beta_cov, fit.basis
+    beta, cov, basis = _block(fit, strain)
     rng = np.random.Generator(np.random.Philox(seed))
     sym = (cov + cov.T) / 2
     vals, vecs = np.linalg.eigh(sym)

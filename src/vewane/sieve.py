@@ -250,17 +250,11 @@ def logistic_derivs(y, X_blocks, X_shared, offsets, theta):
     return ll, grad, hess
 
 
-def loglik_derivs(design: SieveDesign, beta, alpha_coefs=None):
-    """Exact log-likelihood, gradient, and hessian of the (multinomial) logistic model.
-
-    `beta` may be the full stacked parameter vector (with alpha_coefs=None) or
-    just the VE blocks with the alpha coefficients passed separately.
-    """
-    beta = np.asarray(beta, dtype=float)
-    if alpha_coefs is None:
-        theta = beta
-    else:
-        theta = np.concatenate([beta, np.asarray(alpha_coefs, dtype=float)])
+def loglik_derivs(design: SieveDesign, theta):
+    """Exact log-likelihood, gradient, and hessian of the (multinomial) logistic
+    model at the full stacked parameter vector: the VE blocks, then the alpha
+    coefficients."""
+    theta = np.asarray(theta, dtype=float)
     if theta.shape[0] != design.n_params:
         raise ValueError(f"expected {design.n_params} parameters, got {theta.shape[0]}")
     return logistic_derivs(design.y, design.X_ve, design.X_alpha, design.offsets, theta)

@@ -89,12 +89,10 @@ def bspline_eval(basis: BSplineBasis, t) -> np.ndarray:
     return out
 
 
-def knot_rule(n: int, rule: str = "cube-root-like") -> int:
+def knot_rule(n: int) -> int:
     """Interior-knot count from the event count: floor(n**(1/3.5))."""
     if n < 1:
         raise ValueError("need at least one event")
-    if rule != "cube-root-like":
-        raise ValueError(f"unknown knot rule {rule!r}")
     # guard the float power against 8**(1/3.5)-style representation slop
     return int(math.floor(n ** (1.0 / 3.5) + 1e-12))
 
@@ -406,30 +404,21 @@ def smooth_fn_from_dict(d: dict) -> SmoothFn:
     raise ValueError(f"unknown smooth fn {kind!r}")
 
 
-def _second_difference(m: int, order: int = 2) -> np.ndarray:
-    d = np.eye(m)
-    for _ in range(order):
-        d = np.diff(d, axis=0)
-    return d
+def _second_difference(m: int) -> np.ndarray:
+    return np.diff(np.eye(m), n=2, axis=0)
 
 
-def weighted_spline_smooth(
-    x,
-    y,
-    w=None,
-    penalty_order: int = 2,
-    n_knots: int | None = None,
-    domain: tuple[float, float] | None = None,
-    degree: int = 3,
-    placement: str = "quantile",
-) -> SmoothFn | list[SmoothFn]:
-    """Penalized weighted least-squares B-spline fit with GCV-chosen penalty.
+def weighted_spline_smooth(x, y, w=None, n_knots: int | None = None) -> SmoothFn | list[SmoothFn]:
+    """Penalized weighted least-squares cubic B-spline fit on the range of x, with
+    GCV-chosen penalty.
 
     Minimizes sum w_i (y_i - g(x_i))^2 + lam * ||D2 coef||^2 over the fixed
-    log-spaced lambda grid.  Degenerate inputs (too few weighted points for the
-    basis) fall back to the global weighted mean, flagged on the result.  A y of
-    shape (n, k) gives a list of k fits, one per column, that share the basis and
-    the per-lambda hat traces; each column chooses its own lambda.
+    log-spaced lambda grid.  Knots sit at quantiles of the positively weighted
+    x, `knot_rule` of their count unless `n_knots` is given.  Degenerate inputs
+    (too few weighted points for the basis) fall back to the global weighted
+    mean, flagged on the result.  A y of shape (n, k) gives a list of k fits,
+    one per column, that share the basis and the per-lambda hat traces; each
+    column chooses its own lambda.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -444,34 +433,30 @@ def weighted_spline_smooth(
     if wsum <= 0:
         raise ValueError("all weights are zero")
     columns = [y] if y.ndim == 1 else list(y.T)
-    fits = _spline_fits(x, columns, w, penalty_order, n_knots, domain, degree, placement)
+    fits = _spline_fits(x, columns, w, n_knots)
     return fits[0] if y.ndim == 1 else fits
 
 
-def _spline_fits(x, columns, w, penalty_order, n_knots, domain, degree, placement) -> list[SplineFn]:
+def _spline_fits(x, columns, w, n_knots) -> list[SplineFn]:
     def mean_fits(basis):
         return [SplineFn(basis, np.full(basis.dimension, np.average(y, weights=w)), None, True) for y in columns]
 
-    own_range = domain is None  # then B is what fn(x) builds, the clip a no-op
-    if own_range:
-        domain = (float(x.min()), float(x.max()))
-    lo, hi = domain
+    lo, hi = float(x.min()), float(x.max())
     if not lo < hi:
         return mean_fits(BSplineBasis(0, (), (lo, lo + 1.0)))
     active = w > 0
     if n_knots is None:
         n_knots = max(1, knot_rule(int(active.sum())))
-    knots = place_knots(x[active], n_knots, (lo, hi), placement)
-    basis = BSplineBasis(degree, knots, (lo, hi))
+    basis = BSplineBasis(3, place_knots(x[active], n_knots, (lo, hi)), (lo, hi))
     m = basis.dimension
     if int(active.sum()) < m:
         return mean_fits(basis)
 
-    B = bspline_eval(basis, np.clip(x, lo, hi))
+    B = bspline_eval(basis, x)
     BW = B * w[:, None]
     btb = B.T @ BW
     btys = [BW.T @ y for y in columns]
-    D = _second_difference(m, penalty_order)
+    D = _second_difference(m)
     P = D.T @ D
     n = len(x)
 
@@ -496,17 +481,16 @@ def _spline_fits(x, columns, w, penalty_order, n_knots, domain, degree, placemen
     fits = []
     for _, lam, coef, fitted in best:
         fn = SplineFn(basis, coef, lam, False)
-        if own_range:
-            fn._fitted = (x, fitted)
+        fn._fitted = (x, fitted)
         fits.append(fn)
     return fits
 
 
 def _fitted_values(fn: SmoothFn, x) -> np.ndarray:
-    """fn(x).  A p-spline fit made on its own range hands over its GCV pass's
-    B @ coef once, when x is the very array (unchanged since) that the fit was
-    made on: the same bits, as clipping x to its own range is a no-op, so fn(x)
-    would rebuild the same B.  Any other call evaluates fn(x)."""
+    """fn(x).  A p-spline fit hands over its GCV pass's B @ coef once, when x
+    is the very array (unchanged since) that the fit was made on: the same
+    bits, as the fit's boundary is the range of x, so fn(x) would rebuild the
+    same B.  Any other call evaluates fn(x)."""
     fitted = fn.__dict__.pop("_fitted", None)
     return fitted[1] if fitted is not None and fitted[0] is x else fn(x)
 

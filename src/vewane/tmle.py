@@ -92,7 +92,6 @@ def estimate_r(
     smoother: str = "pspline",
     kernel: str = "epanechnikov",
     bandwidth=None,
-    n_knots=None,
 ) -> list[SmoothFn]:
     """Weighted smooth of each column of `values` against T.
 
@@ -104,7 +103,7 @@ def estimate_r(
     if np.max(weights) < DEGENERATE_WEIGHT:
         raise VewaneError("degenerate probability weights: nothing to smooth")
     if smoother == "pspline":
-        return weighted_spline_smooth(T, values, weights, n_knots=n_knots)
+        return weighted_spline_smooth(T, values, weights)
     if smoother == "kernel":
         return [kernel_smooth(T, col, weights, kernel=kernel, bandwidth=bandwidth) for col in values.T]
     raise ValueError(f"unknown smoother {smoother!r}")

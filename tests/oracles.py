@@ -267,18 +267,10 @@ def invert_by_bisection(scenario, latent, cause, e):
     return out
 
 
-def spline_smooth_one_column(x, y, w, n_knots=None, penalty_order=2, degree=3, placement="quantile"):
+def spline_smooth_one_column(x, y, w, n_knots=None):
     """`smoothing.weighted_spline_smooth` of one column y, with its own basis,
     hat traces and GCV loop: the form it had before it shared them across columns."""
-    from vewane.smoothing import (
-        LAMBDA_GRID,
-        BSplineBasis,
-        SplineFn,
-        _second_difference,
-        bspline_eval,
-        knot_rule,
-        place_knots,
-    )
+    from vewane.smoothing import LAMBDA_GRID, BSplineBasis, SplineFn, bspline_eval, knot_rule, place_knots
 
     x, y, w = (np.asarray(a, dtype=float) for a in (x, y, w))
     lo, hi = float(x.min()), float(x.max())
@@ -287,7 +279,7 @@ def spline_smooth_one_column(x, y, w, n_knots=None, penalty_order=2, degree=3, p
     active = w > 0
     if n_knots is None:
         n_knots = max(1, knot_rule(int(active.sum())))
-    basis = BSplineBasis(degree, place_knots(x[active], n_knots, (lo, hi), placement), (lo, hi))
+    basis = BSplineBasis(3, place_knots(x[active], n_knots, (lo, hi)), (lo, hi))
     m = basis.dimension
     if int(active.sum()) < m:
         return SplineFn(basis, np.full(m, np.average(y, weights=w)), None, True)
@@ -295,7 +287,9 @@ def spline_smooth_one_column(x, y, w, n_knots=None, penalty_order=2, degree=3, p
     BW = B * w[:, None]
     btb = B.T @ BW
     bty = BW.T @ y
-    D = _second_difference(m, penalty_order)
+    D = np.eye(m)
+    for _ in range(2):  # second differences of the coefficients
+        D = np.diff(D, axis=0)
     P = D.T @ D
     n = len(x)
     best = None

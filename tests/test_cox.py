@@ -4,8 +4,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from vewane.cli import DAYS_PER_YEAR
 from vewane.core import (
+    DAYS_PER_YEAR,
     Cause,
     NonIdentifiableError,
     VEBasisSpec,
@@ -62,7 +62,7 @@ def day_unit_boundary_cohort():
     rows += [(f"c{d}", None, 450.0, Cause.CENSORED) for d in range(200)]
     rows += [("late", 300.0, 200.0, Cause.PREVENTABLE), ("late2", 449.0, 120.0, Cause.CENSORED)]
     rows = [(f"{r[0]}-{k}", *r[1:]) for k, r in enumerate(rows)]
-    return convert_to_years(make_records(rows, 450.0, time_unit="days"), DAYS_PER_YEAR)
+    return convert_to_years(make_records(rows, 450.0, time_unit="days"))
 
 
 BOUNDARY_START = 0.1  # the ramp length of `boundary_ties_cohort`

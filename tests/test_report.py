@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import vewane.report
-from vewane.core import FitResult, VEBasisSpec, VewaneError
+from vewane.core import FitResult, NonIdentifiableError, VEBasisSpec, VewaneError
 from vewane.report import (
     VECurve,
     monotone_ci_mc,
@@ -144,6 +144,49 @@ class TestMonotoneCiMc:
             total += len(grid)
             hits += int(np.sum((point >= lo - 1e-12) & (point <= hi + 1e-12)))
         assert hits / total >= 0.99
+
+
+def two_strain_fit():
+    """A two-strain fit whose strain 2 is flagged non-identifiable, as the
+    multinomial fits flag a strain without events: NaN coefficients and covariance."""
+    beta = np.array([-1.0, 0.5, np.nan, np.nan])
+    cov = np.full((4, 4), np.nan)
+    cov[:2, :2] = [[0.05, 0.01], [0.01, 0.2]]
+    return FitResult(method="sieve-multinomial", beta=beta, beta_cov=cov, basis=[LINEAR, LINEAR], strains=[1, 2])
+
+
+def _curve_f(fit, strain):
+    curve = ve_curve(fit, np.linspace(0, 1, 5), strain=strain)
+    return curve.f_hat, curve.f_se
+
+
+BLOCK_USERS = {
+    "ve_curve": _curve_f,
+    "monotone_ci_mc": lambda fit, strain: monotone_ci_mc(fit, np.linspace(0, 1, 5), n_draws=50, strain=strain),
+}
+
+
+@pytest.mark.parametrize("user", BLOCK_USERS)
+class TestStrainBlock:
+    def test_non_identifiable_strain_rejected(self, user):
+        with pytest.raises(NonIdentifiableError):
+            BLOCK_USERS[user](two_strain_fit(), 2)
+
+    def test_strain_with_a_binary_fit_rejected(self, user):
+        with pytest.raises(VewaneError, match="non-multinomial"):
+            BLOCK_USERS[user](make_fit([-1.0, 0.5], np.eye(2) * 0.1), 1)
+
+    @pytest.mark.parametrize("strain", [None, 3])
+    def test_multinomial_fit_needs_one_of_its_strains(self, user, strain):
+        with pytest.raises(VewaneError):
+            BLOCK_USERS[user](two_strain_fit(), strain)
+
+    def test_strain_block_reads_as_its_binary_fit(self, user):
+        fit = two_strain_fit()
+        got = BLOCK_USERS[user](fit, 1)
+        want = BLOCK_USERS[user](make_fit(fit.beta[:2], fit.beta_cov[:2, :2]), None)
+        assert all(np.all(np.isfinite(a)) for a in got)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
 
 def _pava_per_row(y, w=None):

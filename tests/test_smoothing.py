@@ -217,13 +217,6 @@ class TestMultiColumnSpline:
             assert _fitted_values(twin, x).tobytes() == fn(x).tobytes()
         assert "_fitted" in fn.__dict__
 
-    def test_fitted_values_with_a_narrower_domain(self):
-        # the GCV pass clips x to the domain, where fn(x) rejects points outside it
-        x, y, w, _ = _spline_cases()["random"]
-        fn = weighted_spline_smooth(x, y[:, 0], w, domain=(0.2, 0.8))
-        with pytest.raises(ValueError, match="outside boundary"):
-            _fitted_values(fn, x)
-
     def test_fallback_cases_fall_back(self):
         cases = _spline_cases()
         for case in ("lo == hi", "too few active points"):
