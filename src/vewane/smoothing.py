@@ -404,10 +404,6 @@ def smooth_fn_from_dict(d: dict) -> SmoothFn:
     raise ValueError(f"unknown smooth fn {kind!r}")
 
 
-def _second_difference(m: int) -> np.ndarray:
-    return np.diff(np.eye(m), n=2, axis=0)
-
-
 def weighted_spline_smooth(x, y, w=None, n_knots: int | None = None) -> SmoothFn | list[SmoothFn]:
     """Penalized weighted least-squares cubic B-spline fit on the range of x, with
     GCV-chosen penalty.
@@ -456,7 +452,7 @@ def _spline_fits(x, columns, w, n_knots) -> list[SplineFn]:
     BW = B * w[:, None]
     btb = B.T @ BW
     btys = [BW.T @ y for y in columns]
-    D = _second_difference(m)
+    D = np.diff(np.eye(m), n=2, axis=0)
     P = D.T @ D
     n = len(x)
 
