@@ -47,4 +47,14 @@ from .surveillance import (
 )
 from .tmle import eic_values, estimate_r, fit_tmle_binary, fit_tmle_multinomial
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Cause", "Dataset", "FitResult", "VEBasisSpec", "eval_ve_basis", "f_value", "read_events_csv",
+    "validate_dataset", "ve_from_f", "write_events_csv", "cox_partial_loglik", "fit_cox_tv", "VECurve",
+    "monotone_ci_mc", "monotonize_curve", "read_curve", "ve_curve", "write_curve", "FixedOffset",
+    "build_design", "fit_sieve_binary", "fit_sieve_multinomial", "loglik_derivs", "LatentDraw",
+    "ScenarioSpec", "cumulative_hazard", "invert_cumulative_hazard", "sample_latents",
+    "simulate_cohort", "simulate_cohort_views", "BSplineBasis", "bspline_eval", "kernel_smooth",
+    "knot_rule", "pava_isotonic", "weighted_spline_smooth", "SurveillanceSeries", "VariantMix",
+    "impute_strains", "sda_tt2_offset", "sensitivity_offset", "tt1_offset", "eic_values", "estimate_r",
+    "fit_tmle_binary", "fit_tmle_multinomial",
+]

@@ -67,9 +67,12 @@ def _parse_basis(text: str) -> VEBasisSpec:
 def _parse_grid(text: str) -> np.ndarray:
     try:
         lo, hi, n = text.split(":")
-        return np.linspace(float(lo), float(hi), int(n))
+        lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         raise UsageError(f"bad grid {text!r}; expected lo:hi:npoints") from None
+    if n < 1 or not lo <= hi:
+        raise UsageError(f"bad grid {text!r}; need lo <= hi and npoints >= 1")
+    return np.linspace(lo, hi, n)
 
 
 def _build_parser() -> _Parser:

@@ -115,6 +115,8 @@ def monotone_ci_mc(
     """Monte-Carlo projection bands: draw beta* ~ N(beta, Cov), PAVA-project each
     f* over the grid (equal weights, all draws in one row-wise call), take
     pointwise quantiles."""
+    if n_draws < 1:
+        raise VewaneError(f"need at least one Monte-Carlo draw, got {n_draws}")
     tau_grid = np.asarray(tau_grid, dtype=float)
     beta, cov, basis = _block(fit, strain)
     rng = np.random.Generator(np.random.Philox(seed))

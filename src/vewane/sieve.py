@@ -105,6 +105,8 @@ def default_alpha_basis(
     """Cubic spline over the event-time range, K = floor(n**(1/3.5)) quantile knots."""
     lo, hi = float(event_times.min()), float(event_times.max())
     k = knot_rule(len(event_times)) if knots is None else int(knots)
+    if k < 0:
+        raise VewaneError(f"knots must be >= 0, got {knots}")
     return BSplineBasis(degree, place_knots(event_times, k, (lo, hi), placement), (lo, hi))
 
 
@@ -362,11 +364,7 @@ def _alpha_fn(design: SieveDesign, theta: np.ndarray) -> SmoothFn:
 
 def _resolve_alpha(dataset, alpha, knots, knot_placement):
     if alpha == "spline" or alpha is None:
-        T = _infected_arrays(dataset)[0]
-        if np.isscalar(knots) or knots is None:
-            return default_alpha_basis(T, knots, knot_placement)
-        lo, hi = float(T.min()), float(T.max())
-        return BSplineBasis(3, tuple(float(k) for k in knots), (lo, hi))
+        return default_alpha_basis(_infected_arrays(dataset)[0], knots, knot_placement)
     return alpha
 
 

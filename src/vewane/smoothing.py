@@ -161,7 +161,7 @@ class SplineFn(SmoothFn):
 
 @dataclass
 class KernelFn(SmoothFn):
-    """Nadaraya-Watson smoother: the kernel-weighted mean of y around each point.
+    """Nadaraya-Watson smoother: the Epanechnikov-weighted mean of y around each point.
 
     Where the kernel puts no weight on any data point, the value is the y of
     the nearest data point.
@@ -170,7 +170,6 @@ class KernelFn(SmoothFn):
     x: np.ndarray
     y: np.ndarray
     w: np.ndarray
-    kernel: str
     bandwidth: float
 
     def __post_init__(self):
@@ -182,10 +181,7 @@ class KernelFn(SmoothFn):
     def _eval(self, t):
         order = np.argsort(self.x)
         xs, ys, ws = self.x[order], self.y[order], self.w[order]
-        if self.kernel == "epanechnikov":
-            num, den = _epanechnikov_sums(xs, ys, ws, self.bandwidth, t)
-        else:
-            num, den = _gaussian_sums(xs, ys, ws, self.bandwidth, t)
+        num, den = _epanechnikov_sums(xs, ys, ws, self.bandwidth, t)
         out = np.divide(num, den, out=np.zeros_like(den), where=den > 0)
         dead = den <= 0
         if np.any(dead):
@@ -201,35 +197,12 @@ class KernelFn(SmoothFn):
             "x": self.x.tolist(),
             "y": self.y.tolist(),
             "w": self.w.tolist(),
-            "kernel": self.kernel,
+            "kernel": "epanechnikov",
             "bandwidth": self.bandwidth,
         }
 
 
-KERNEL_CHUNK = 2**20  # kernel weights held at once: Gaussian rows, Epanechnikov edge windows
-
-
-def _gaussian_sums(x, y, w, h, t):
-    """Numerator and denominator of the Gaussian smoother, a block of kernel
-    matrix rows at a time in one reused buffer."""
-    num = np.empty(t.shape)
-    den = np.empty(t.shape)
-    rows = max(1, KERNEL_CHUNK // x.size)
-    buf = np.empty((min(rows, t.size), x.size))
-    for start in range(0, t.size, rows):
-        tc = t[start : start + rows]
-        kw = buf[: tc.size]
-        np.subtract(x[None, :], tc[:, None], out=kw)
-        with np.errstate(over="ignore"):
-            kw /= h
-            np.square(kw, out=kw)
-        np.minimum(kw, 1e6, out=kw)
-        kw *= -0.5
-        np.exp(kw, out=kw)
-        kw *= w[None, :]
-        den[start : start + rows] = kw.sum(axis=1)
-        num[start : start + rows] = kw @ y
-    return num, den
+KERNEL_CHUNK = 2**20  # Epanechnikov edge-window weights held at once
 
 
 def _window_sums(xs, ys, ws, h, t, lo, hi):
@@ -392,9 +365,9 @@ def smooth_fn_from_dict(d: dict) -> SmoothFn:
             d.get("fallback", False),
         )
     if kind == "kernel":
-        return KernelFn(
-            np.asarray(d["x"]), np.asarray(d["y"]), np.asarray(d["w"]), d["kernel"], d["bandwidth"]
-        )
+        if d["kernel"] != "epanechnikov":
+            raise ValueError(f"unknown kernel {d['kernel']!r}")
+        return KernelFn(np.asarray(d["x"]), np.asarray(d["y"]), np.asarray(d["w"]), d["bandwidth"])
     if kind == "table":
         return TableFn(np.asarray(d["x"]), np.asarray(d["values"]))
     if kind == "constant":
@@ -502,15 +475,13 @@ def silverman_bandwidth(x, w=None) -> float:
     return 0.9 * spread * len(x) ** (-0.2)
 
 
-def kernel_smooth(x, y, w=None, kernel: str = "epanechnikov", bandwidth=None) -> KernelFn:
-    """Nadaraya-Watson weighted kernel regression of y on x."""
+def kernel_smooth(x, y, w=None, bandwidth=None) -> KernelFn:
+    """Nadaraya-Watson weighted Epanechnikov kernel regression of y on x."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.ones_like(x) if w is None else np.asarray(w, dtype=float)
     if x.size == 0:
         raise ValueError("empty data")
-    if kernel not in ("epanechnikov", "gaussian"):
-        raise ValueError(f"unknown kernel {kernel!r}")
     if bandwidth is None:
         bandwidth = silverman_bandwidth(x, w)
         if bandwidth <= 0:
@@ -518,7 +489,7 @@ def kernel_smooth(x, y, w=None, kernel: str = "epanechnikov", bandwidth=None) ->
             bandwidth = 1e-300
     elif not 0 < bandwidth < np.inf:
         raise ValueError("bandwidth must be positive and finite")
-    return KernelFn(x, y, w, kernel, float(bandwidth))
+    return KernelFn(x, y, w, float(bandwidth))
 
 
 def pava_isotonic(y, w=None) -> np.ndarray:

@@ -85,14 +85,7 @@ class TmleNuisance:
         )
 
 
-def estimate_r(
-    T,
-    values,
-    weights,
-    smoother: str = "pspline",
-    kernel: str = "epanechnikov",
-    bandwidth=None,
-) -> list[SmoothFn]:
+def estimate_r(T, values, weights, smoother: str = "pspline", bandwidth=None) -> list[SmoothFn]:
     """Weighted smooth of each column of `values` against T.
 
     Using the same weights in numerator and denominator enforces the ratio form
@@ -105,7 +98,7 @@ def estimate_r(
     if smoother == "pspline":
         return weighted_spline_smooth(T, values, weights)
     if smoother == "kernel":
-        return [kernel_smooth(T, col, weights, kernel=kernel, bandwidth=bandwidth) for col in values.T]
+        return [kernel_smooth(T, col, weights, bandwidth=bandwidth) for col in values.T]
     raise ValueError(f"unknown smoother {smoother!r}")
 
 
@@ -158,7 +151,7 @@ def _efficient_scores(design: SieveDesign, Q: np.ndarray, r_vals: list[np.ndarra
     return S, info / n
 
 
-def _smoother_facts(smoother, kernel, bandwidth, r_fns, alpha_fn) -> dict:
+def _smoother_facts(smoother, bandwidth, r_fns, alpha_fn) -> dict:
     """The nuisance smoothers of the last targeting iteration: the kernel and its
     bandwidth, or per r component (in beta order) the spline's interior-knot
     count, GCV lambda and mean fallback; the same for a spline alpha."""
@@ -171,55 +164,46 @@ def _smoother_facts(smoother, kernel, bandwidth, r_fns, alpha_fn) -> dict:
 
     facts = {"kind": smoother}
     if smoother == "kernel":
-        facts.update(kernel=kernel, bandwidth=float(bandwidth))
+        facts.update(kernel="epanechnikov", bandwidth=float(bandwidth))
     else:
         facts["r"] = [spline(fn) for block in r_fns for fn in block]
     facts["alpha"] = spline(alpha_fn)
     return facts
 
 
-def _tmle_engine(
-    design: SieveDesign,
-    theta0: np.ndarray,
-    free: np.ndarray,
-    smoother: str,
-    kernel: str,
-    bandwidth,
-    tol: float,
-    max_iter: int,
-    delta: float,
-    update_alpha: bool,
-    alpha_fn0: SmoothFn,
-):
-    m = design.n_classes
-    dims = design.d_blocks
-    D = sum(dims)
-    slices = _block_slices(dims)
-    T = design.T
-    y = design.y
-    betas = [theta0[s].copy() for s in slices]
-    c_vec = design.X_alpha @ theta0[D:] if design.X_alpha.shape[1] else np.zeros(design.n_rows)
-    alpha_fn = alpha_fn0
+def _fit_tmle(dataset, ve_basis, mixture, smoother, knots, alpha, offset, tol, max_iter, knot_placement) -> FitResult:
+    """Targeting of the m-class model from its sieve MLE; mixture=None is the
+    binary model (m = 1)."""
+    if max_iter < 1:
+        raise VewaneError(f"targeting needs max_iter >= 1, got {max_iter}")
+    alpha_struct = _resolve_alpha(dataset, alpha, knots, knot_placement)
+    design = build_design(dataset, ve_basis, alpha_struct, mixture=mixture, extra_offset=offset)
+    free_theta, dead = _free_parameters(design)
+    if design.n_rows < 50:
+        raise VewaneError(f"targeting needs at least 50 events, got {design.n_rows}")
+    init = fit_design_theta(design, free_theta)
 
-    if bandwidth is None and smoother == "kernel":
-        bandwidth = silverman_bandwidth(T)
+    m, n, D = design.n_classes, design.n_rows, design.d_total
+    free = free_theta[:D]
+    slices = _block_slices(design.d_blocks)
+    T = design.T
+    betas = [init.theta[s].copy() for s in slices]
+    c_vec = design.X_alpha @ init.theta[D:] if design.X_alpha.shape[1] else np.zeros(n)
+    alpha_fn = _alpha_fn(design, init.theta)
+    bandwidth = silverman_bandwidth(T) if smoother == "kernel" else None
 
     def predictors():
-        eta = np.empty((design.n_rows, m))
+        eta = np.empty((n, m))
         for k in range(m):
             eta[:, k] = design.X_ve[k] @ betas[k] + c_vec + design.offsets[:, k]
         return eta
 
     truncated_max = 0
-    eps_norm = np.inf
-    converged = False
-    iterations = 0
     eta = predictors()
-    for it in range(1, max_iter + 1):
-        iterations = it
+    for iterations in range(1, max_iter + 1):
         Q = class_probs(eta)[0]
         qtot = Q.sum(axis=1)
-        clipped = np.clip(qtot, delta, 1.0 - delta)
+        clipped = np.clip(qtot, POSITIVITY_DELTA, 1.0 - POSITIVITY_DELTA)
         truncated_max = max(truncated_max, int(np.sum(clipped != qtot)))
         b = clipped * (1.0 - clipped)
         if np.max(b) < DEGENERATE_WEIGHT:
@@ -231,13 +215,13 @@ def _tmle_engine(
         for k in range(m):
             scale = (Q[:, k] * (1.0 - qtot)) * ratio
             vals = design.X_ve[k] * scale[:, None]
-            fns = estimate_r(T, vals, b, smoother, kernel, bandwidth)
+            fns = estimate_r(T, vals, b, smoother, bandwidth)
             rv = np.column_stack([_fitted_values(fn, T) for fn in fns])
             r_fns.append(fns)
             r_vals.append(rv)
             H_blocks.append(design.X_ve[k] - rv)
 
-        eps, loglik = _fluctuation_fit(eta, H_blocks, y, free)
+        eps, loglik = _fluctuation_fit(eta, H_blocks, design.y, free)
         eps_norm = float(np.max(np.abs(eps))) if eps.size else 0.0
         eta_star = eta.copy()
         for k in range(m):
@@ -245,111 +229,56 @@ def _tmle_engine(
             eta_star[:, k] += H_blocks[k] @ eps[slices[k]]
         q_star = class_probs(eta_star)[0]
 
-        if eps_norm < tol:
-            converged = True
-            Q_final, r_vals_final, r_fns_final = q_star, r_vals, r_fns
+        converged = eps_norm < tol
+        if converged:
             break
 
-        if update_alpha:
+        if isinstance(design.alpha, BSplineBasis):
             # profile update: shift alpha so the total-preventable odds match the
             # fluctuated fit, then re-smooth over calendar time
-            qs_tot = np.clip(q_star.sum(axis=1), delta, 1.0 - delta)
+            qs_tot = np.clip(q_star.sum(axis=1), POSITIVITY_DELTA, 1.0 - POSITIVITY_DELTA)
             eta_beta = np.empty_like(eta)
             for k in range(m):
                 eta_beta[:, k] = design.X_ve[k] @ betas[k] + design.offsets[:, k]
             log_denom = logsumexp(eta_beta, axis=1)
             target = logit(qs_tot) - log_denom
             w_star = qs_tot * (1.0 - qs_tot)
-            fn = weighted_spline_smooth(T, target, w_star)
-            alpha_fn = fn
-            c_vec = _fitted_values(fn, T)
+            alpha_fn = weighted_spline_smooth(T, target, w_star)
+            c_vec = _fitted_values(alpha_fn, T)
         eta = predictors()
-        Q_final, r_vals_final, r_fns_final = q_star, r_vals, r_fns
 
-    S, info = _efficient_scores(design, Q_final, r_vals_final)
+    S, info = _efficient_scores(design, q_star, r_vals)
     info_free = info[np.ix_(free, free)]
     if info_free.size and np.linalg.cond(info_free) > 1e12:
         raise NonIdentifiableError("singular efficient information")
-    eic = np.full((design.n_rows, D), np.nan)
     beta_cov = np.full((D, D), np.nan)
+    eic_abs_mean_max = 0.0
     if info_free.size:
         eic_free = S[:, free] @ np.linalg.inv(info_free)
-        eic[:, free] = eic_free
         centered = eic_free - eic_free.mean(axis=0)
-        beta_cov[np.ix_(free, free)] = (centered.T @ centered) / design.n_rows**2
+        beta_cov[np.ix_(free, free)] = (centered.T @ centered) / n**2
+        # column means of an F-ordered copy: numpy sums its contiguous columns
+        # pairwise, the strided columns of the C-ordered product in another
+        # order that rounds apart; saved fit JSONs carry the pairwise figure
+        eic_abs_mean_max = float(np.max(np.abs(np.asfortranarray(eic_free).mean(axis=0))))
 
-    return {
-        "beta": np.concatenate(betas) if betas else np.zeros(0),
-        "beta_cov": beta_cov,
-        "eic": eic,
-        "score_rows": S,
-        "info_eff": info,
-        "free": free,
-        "smoother": _smoother_facts(smoother, kernel, bandwidth, r_fns_final, alpha_fn),
-        "alpha_fn": alpha_fn,
-        "iterations": iterations,
-        "loglik": loglik,
-        "last_eps_norm": eps_norm,
-        "converged": converged,
-        "truncated_rows_max": truncated_max,
-    }
-
-
-def _finish_fit(design, engine, init_iterations, tol):
-    eic_free = engine["eic"][:, engine["free"]]
     diag = {
-        "iterations": engine["iterations"],
-        "final_update_norm": engine["last_eps_norm"],
-        "loglik": engine["loglik"],
-        "converged": engine["converged"],
-        "n_rows": design.n_rows,
+        "iterations": iterations,
+        "final_update_norm": eps_norm,
+        "loglik": loglik,
+        "converged": converged,
+        "n_rows": n,
         "n_dropped_censored": design.n_dropped_censored,
         "tol": tol,
-        "truncated_rows_max": engine["truncated_rows_max"],
-        "truncated_fraction_max": engine["truncated_rows_max"] / design.n_rows,
-        "eic_abs_mean_max": float(np.max(np.abs(eic_free.mean(axis=0)))) if eic_free.size else 0.0,
-        "init_iterations": init_iterations,
-        "smoother": engine["smoother"],
+        "truncated_rows_max": truncated_max,
+        "truncated_fraction_max": truncated_max / n,
+        "eic_abs_mean_max": eic_abs_mean_max,
+        "init_iterations": init.iterations,
+        "smoother": _smoother_facts(smoother, bandwidth, r_fns, alpha_fn),
     }
-    nuis = TmleNuisance(
-        alpha_fn=engine["alpha_fn"],
-        score_rows=engine["score_rows"],
-        info_eff=engine["info_eff"],
-        y=design.y,
-        free=engine["free"],
-    )
-    return diag, nuis
-
-
-def _fit_tmle(
-    dataset, ve_basis, mixture, smoother, kernel, bandwidth, knots, alpha, offset, tol, max_iter, delta, knot_placement
-) -> FitResult:
-    """Targeting of the m-class model from its sieve MLE; mixture=None is the
-    binary model (m = 1)."""
-    alpha_struct = _resolve_alpha(dataset, alpha, knots, knot_placement)
-    design = build_design(dataset, ve_basis, alpha_struct, mixture=mixture, extra_offset=offset)
-    free_theta, dead = _free_parameters(design)
-    if design.n_rows < 50:
-        raise VewaneError(f"targeting needs at least 50 events, got {design.n_rows}")
-    free_beta = free_theta[: design.d_total]
-
-    init = fit_design_theta(design, free_theta)
-    engine = _tmle_engine(
-        design,
-        init.theta,
-        free_beta,
-        smoother,
-        kernel,
-        bandwidth,
-        tol,
-        max_iter,
-        delta,
-        update_alpha=isinstance(design.alpha, BSplineBasis),
-        alpha_fn0=_alpha_fn(design, init.theta),
-    )
-    beta = np.where(free_beta, engine["beta"], np.nan)
-    diag, nuis = _finish_fit(design, engine, init.iterations, tol)
-    common = dict(beta=beta, beta_cov=engine["beta_cov"], nuisance=nuis, diagnostics=diag)
+    nuis = TmleNuisance(alpha_fn=alpha_fn, score_rows=S, info_eff=info, y=design.y, free=free)
+    beta = np.where(free, np.concatenate(betas), np.nan)
+    common = dict(beta=beta, beta_cov=beta_cov, nuisance=nuis, diagnostics=diag)
     if mixture is None:
         return FitResult(method="tmle", basis=ve_basis, **common)
     diag["nonidentifiable_strains"] = [design.strains[k] for k in dead]
@@ -360,44 +289,32 @@ def fit_tmle_binary(
     dataset: Dataset,
     ve_basis: VEBasisSpec,
     smoother: str = "pspline",
-    kernel: str = "epanechnikov",
-    bandwidth=None,
     knots=None,
     alpha="spline",
     offset: SmoothFn | None = None,
     tol: float = 1e-6,
     max_iter: int = 50,
-    delta: float = POSITIVITY_DELTA,
     knot_placement: str = "quantile",
 ) -> FitResult:
     """Iterative targeting of the binary VE model initialized at the sieve MLE:
     the one-strain case of `fit_tmle_multinomial`."""
-    return _fit_tmle(
-        dataset, ve_basis, None, smoother, kernel, bandwidth, knots, alpha, offset, tol, max_iter, delta,
-        knot_placement,
-    )
+    return _fit_tmle(dataset, ve_basis, None, smoother, knots, alpha, offset, tol, max_iter, knot_placement)
 
 
 def fit_tmle_multinomial(
     dataset: Dataset,
     ve_bases,
     mixture,
-    kernel: str = "epanechnikov",
-    bandwidth=None,
     smoother: str = "kernel",
     knots=None,
     alpha="spline",
     offset: SmoothFn | None = None,
     tol: float = 1e-6,
     max_iter: int = 50,
-    delta: float = POSITIVITY_DELTA,
     knot_placement: str = "quantile",
 ) -> FitResult:
     """Per-strain targeting with NW kernel nuisance estimates and class offsets log p_s(t)."""
-    return _fit_tmle(
-        dataset, ve_bases, mixture, smoother, kernel, bandwidth, knots, alpha, offset, tol, max_iter, delta,
-        knot_placement,
-    )
+    return _fit_tmle(dataset, ve_bases, mixture, smoother, knots, alpha, offset, tol, max_iter, knot_placement)
 
 
 def eic_values(fit: FitResult, dataset: Dataset) -> np.ndarray:

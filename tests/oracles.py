@@ -206,27 +206,22 @@ def cox_derivs_scan(dataset, basis, beta):
     return ll, grad, hess
 
 
-def kernel_smooth_dense(x, y, w, kernel, h, t):
-    """Nadaraya-Watson smoother from the full (n_eval x n_data) kernel matrix;
-    where no data point has kernel weight, the y of the nearest point."""
+def kernel_smooth_dense(x, y, w, h, t):
+    """Epanechnikov Nadaraya-Watson smoother from the full (n_eval x n_data)
+    kernel matrix; where no data point has kernel weight, the y of the nearest
+    point."""
     x, y, w = (np.asarray(a, dtype=float) for a in (x, y, w))
     t = np.atleast_1d(np.asarray(t, dtype=float))
     kw = np.subtract(x[None, :], t[:, None])
     with np.errstate(over="ignore"):
         kw /= h
-        if kernel == "epanechnikov":
-            np.abs(kw, out=kw)
-            outside = ~(kw <= 1.0)  # NaN too
-            np.minimum(kw, 1.0, out=kw)
-            np.square(kw, out=kw)
-            np.subtract(1.0, kw, out=kw)
-            kw *= 0.75
-            kw[outside] = 0.0
-        else:
-            np.square(kw, out=kw)
-            np.minimum(kw, 1e6, out=kw)
-            kw *= -0.5
-            np.exp(kw, out=kw)
+        np.abs(kw, out=kw)
+        outside = ~(kw <= 1.0)  # NaN too
+        np.minimum(kw, 1.0, out=kw)
+        np.square(kw, out=kw)
+        np.subtract(1.0, kw, out=kw)
+        kw *= 0.75
+        kw[outside] = 0.0
     kw *= w[None, :]
     den = kw.sum(axis=1)
     num = kw @ y

@@ -22,6 +22,13 @@ def workdir(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def sieve_fit(workdir):
+    path = workdir / "fit_sieve.json"
+    assert run(["fit", "--method", "sieve", "--events", str(workdir / "events.csv"), "--out", str(path)]) == 0
+    return path
+
+
 class TestSimulate:
     def test_deterministic_with_seed(self, workdir, tmp_path):
         args = ["simulate", "--scenario", str(workdir / "scenario.json"), "--seed", "7"]
@@ -84,15 +91,15 @@ class TestFit:
         payload = json.loads(out.read_text())
         assert payload["diagnostics"]["alpha_mode"] == "offset"
 
-    def test_mono_ci_mc(self, workdir, tmp_path):
+    def test_mono_ci_mc(self, sieve_fit, tmp_path):
         curve_path = tmp_path / "curve_mc.csv"
-        assert run(["curve", "--fit", str(workdir / "fit.json"), "--grid", "0:0.8:11",
+        assert run(["curve", "--fit", str(sieve_fit), "--grid", "0:0.8:11",
                     "--monotone", "--mono-ci", "mc", "--seed", "3",
                     "--out", str(curve_path)]) == 0
         curve = read_curve(curve_path)
         assert np.all(curve.ve_mono_lo <= curve.ve_mono_hi + 1e-12)
 
-    def test_days_time_unit(self, workdir, tmp_path):
+    def test_days_time_unit(self, workdir, sieve_fit, tmp_path):
         events = read_events_csv(workdir / "events.csv", horizon=1.0)
         import csv as _csv
 
@@ -107,7 +114,7 @@ class TestFit:
         assert run(["fit", "--method", "sieve", "--events", str(path),
                     "--time-unit", "days", "--out", str(out)]) == 0
         days_beta = json.loads(out.read_text())["beta"]
-        years_beta = json.loads((workdir / "fit.json").read_text())["beta"]
+        years_beta = json.loads(sieve_fit.read_text())["beta"]
         assert np.allclose(days_beta, years_beta, atol=1e-6)
 
 
@@ -136,6 +143,26 @@ class TestErrors:
 
     def test_version_exits_zero(self, capsys):
         assert run(["--version"]) == 0
+
+    @pytest.mark.parametrize("flags", [["--method", "tmle", "--max-iter", "0"],
+                                       ["--method", "tmle", "--max-iter", "-1"],
+                                       ["--method", "sieve", "--knots", "-2"]])
+    def test_bad_fit_settings_exit_two(self, workdir, tmp_path, capsys, flags):
+        out = tmp_path / "o.json"
+        assert run(["fit", *flags, "--events", str(workdir / "events.csv"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ") and not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--grid", "0:1:0"], ["--grid", "1:0:5", "--monotone"]])
+    def test_bad_curve_grid_exit_one(self, sieve_fit, tmp_path, capsys, flags):
+        out = tmp_path / "c.csv"
+        assert run(["curve", "--fit", str(sieve_fit), *flags, "--out", str(out)]) == 1
+        assert "bad grid" in capsys.readouterr().err and not out.exists()
+
+    def test_zero_mc_draws_exit_two(self, sieve_fit, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert run(["curve", "--fit", str(sieve_fit), "--monotone", "--mono-ci", "mc",
+                    "--mc-draws", "0", "--out", str(out)]) == 2
+        assert "draw" in capsys.readouterr().err and not out.exists()
 
 
 class TestBenchCli:

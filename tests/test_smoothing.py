@@ -17,6 +17,7 @@ from vewane.smoothing import (
     pava_isotonic,
     place_knots,
     silverman_bandwidth,
+    smooth_fn_from_dict,
     weighted_spline_smooth,
 )
 
@@ -238,12 +239,11 @@ class TestKernelSmooth:
 
     def test_constant(self, rng):
         x = rng.uniform(0, 1, 50)
-        for kernel in ("epanechnikov", "gaussian"):
-            fn = kernel_smooth(x, np.full(50, -1.5), kernel=kernel, bandwidth=0.2)
-            assert np.allclose(fn(np.linspace(0, 1, 9)), -1.5)
+        fn = kernel_smooth(x, np.full(50, -1.5), bandwidth=0.2)
+        assert np.allclose(fn(np.linspace(0, 1, 9)), -1.5)
 
     def test_two_point_symmetry(self):
-        fn = kernel_smooth([0.0, 1.0], [0.0, 1.0], kernel="gaussian", bandwidth=1.0)
+        fn = kernel_smooth([0.0, 1.0], [0.0, 1.0], bandwidth=1.0)
         assert fn([0.5])[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_bandwidth_rejected(self):
@@ -259,12 +259,11 @@ class TestKernelSmooth:
         assert h == pytest.approx(0.9 * min(sd, iqr / 1.34) * 400 ** (-0.2), rel=1e-12)
 
     def test_far_query_uses_nearest_point(self):
-        fn = kernel_smooth([0.0, 0.1, 1.0], [5.0, 7.0, 9.0], kernel="epanechnikov", bandwidth=0.05)
+        fn = kernel_smooth([0.0, 0.1, 1.0], [5.0, 7.0, 9.0], bandwidth=0.05)
         assert fn([0.5])[0] == pytest.approx(7.0)  # nearest supported point
         assert fn([2.0])[0] == pytest.approx(9.0)
 
-    @pytest.mark.parametrize("kernel", ["epanechnikov", "gaussian"])
-    def test_matches_dense_oracle(self, kernel):
+    def test_matches_dense_oracle(self):
         rng = np.random.default_rng(11)
         # half the points on a 1/64 grid: ties, and with dyadic bandwidths
         # evaluation points exactly at |x - t| = h
@@ -291,8 +290,8 @@ class TestKernelSmooth:
                         [np.nan, np.inf, -np.inf, 7.5, -3.0],
                     ]
                 )
-                got = KernelFn(x, y, w, kernel, h)(t)
-                want = kernel_smooth_dense(x, y, w, kernel, h, t)
+                got = KernelFn(x, y, w, h)(t)
+                want = kernel_smooth_dense(x, y, w, h, t)
                 assert np.all(np.isfinite(got)) and np.all(np.isfinite(want))
                 assert max_rel_err(got, want) < 1e-12, h
 
@@ -302,40 +301,39 @@ class TestKernelSmooth:
         w = np.ones(4)
         # both neighbours of 0.5 sit exactly on the window's edge: no kernel mass
         fn = kernel_smooth(x, y, w, bandwidth=0.25)
-        assert fn([0.5])[0] == 2.0 == kernel_smooth_dense(x, y, w, "epanechnikov", 0.25, [0.5])[0]
+        assert fn([0.5])[0] == 2.0 == kernel_smooth_dense(x, y, w, 0.25, [0.5])[0]
         # one ulp wider, both carry the same rounding-level mass
         h = np.nextafter(0.25, 1.0)
         fn = kernel_smooth(x, y, w, bandwidth=h)
         assert fn([0.5])[0] == pytest.approx(2.5, abs=1e-12)
-        assert max_rel_err(fn([0.5, 0.125]), kernel_smooth_dense(x, y, w, "epanechnikov", h, [0.5, 0.125])) < 1e-12
+        assert max_rel_err(fn([0.5, 0.125]), kernel_smooth_dense(x, y, w, h, [0.5, 0.125])) < 1e-12
         # the points sit at fl(t - h) and fl(t + h), which the kernel's own
         # rounding puts just inside the window
         t, h = 0.6369616873214543, 0.08823814699152238
         x = np.array([0.548723540329932, 0.7251998343129766])
         fn = kernel_smooth(x, y[:2], w[:2], bandwidth=h)
-        want = kernel_smooth_dense(x, y[:2], w[:2], "epanechnikov", h, [t])
+        want = kernel_smooth_dense(x, y[:2], w[:2], h, [t])
         assert 1.0 < want[0] < 2.0 and max_rel_err(fn([t]), want) < 1e-12
 
-    @pytest.mark.parametrize("kernel", ["epanechnikov", "gaussian"])
-    def test_degenerate_bandwidth(self, kernel):
+    def test_degenerate_bandwidth(self):
         # zero weighted spread gives the infinitesimal window of 1e-300
         cases = [
             (np.full(6, 0.3), np.arange(6.0), np.ones(6)),
             (np.array([0.0, 0.5, 0.5, 1.0, 2.0]), np.arange(5.0), np.array([0.0, 1.0, 1.0, 0.0, 0.0])),
         ]
         for x, y, w in cases:
-            fn = kernel_smooth(x, y, w, kernel=kernel)
+            fn = kernel_smooth(x, y, w)
             assert fn.bandwidth == 1e-300
             t = np.concatenate([x, [0.25, 0.3, np.nextafter(0.5, 1.0), 5.0, np.nan]])
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 got = fn(t)
-            assert max_rel_err(got, kernel_smooth_dense(x, y, w, kernel, 1e-300, t)) < 1e-12
+            assert max_rel_err(got, kernel_smooth_dense(x, y, w, 1e-300, t)) < 1e-12
 
-    def test_gaussian_memory_bounded(self):
+    def test_memory_bounded(self):
         rng = np.random.default_rng(5)
         n = 20_000
         x = rng.uniform(0, 1, n)
-        fn = kernel_smooth(x, rng.normal(0, 1, n), rng.uniform(0.1, 1.0, n), kernel="gaussian", bandwidth=0.05)
+        fn = kernel_smooth(x, rng.normal(0, 1, n), rng.uniform(0.1, 1.0, n), bandwidth=0.05)
         tracemalloc.start()
         try:
             vals = fn(x)
@@ -344,6 +342,15 @@ class TestKernelSmooth:
             tracemalloc.stop()
         assert np.all(np.isfinite(vals))
         assert peak < 64 * 2**20  # the dense (m x n) matrix would take 3.2 GB
+
+    def test_saved_form_names_the_kernel(self, rng):
+        x = rng.uniform(0, 1, 40)
+        fn = kernel_smooth(x, np.sin(x), bandwidth=0.2)
+        saved = fn.to_dict()
+        assert saved["kernel"] == "epanechnikov"
+        assert smooth_fn_from_dict(saved)(x).tobytes() == fn(x).tobytes()
+        with pytest.raises(ValueError, match="gaussian"):
+            smooth_fn_from_dict(dict(saved, kernel="gaussian"))
 
     def test_permutation_invariance(self, rng):
         x = rng.uniform(0, 1, 80)

@@ -136,7 +136,7 @@ class TestFitTmleBinary:
         fast = fit_tmle_binary(ds, RAMP, smoother="kernel")
 
         def dense(fn, t):
-            return kernel_smooth_dense(fn.x, fn.y, fn.w, fn.kernel, fn.bandwidth, t)
+            return kernel_smooth_dense(fn.x, fn.y, fn.w, fn.bandwidth, t)
 
         monkeypatch.setattr(KernelFn, "_eval", dense)
         slow = fit_tmle_binary(ds, RAMP, smoother="kernel")
